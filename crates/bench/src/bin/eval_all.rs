@@ -86,7 +86,8 @@ const USAGE: &str = "usage: eval_all [--fault-seed N] [--fault-plan PLAN] [--wat
   --setups-256         run the 256-core Table V machines (b.T-256/MESI,
                        b.T-256/HCC-gwb, b.T-256/HCC-DTS-gwb) instead of
                        the 64-core matrix; combine with BIGTINY_SIZE=test
-                       and BIGTINY_BACKEND=sharded for backend smoke runs
+                       and BIGTINY_BACKEND=threads for a reference-backend
+                       smoke run to diff against the default fiber run
 sizes and app selection come from BIGTINY_SIZE / BIGTINY_APPS / BIGTINY_JSON";
 
 fn parse_cli() -> CliOpts {

@@ -19,8 +19,7 @@
 
 use bigtiny_apps::app_by_name;
 use bigtiny_bench::{geomean, render_table, run_app, size_from_env, Setup};
-use bigtiny_core::RuntimeKind;
-use bigtiny_engine::{ExecBackend, Protocol};
+use bigtiny_engine::Protocol;
 use std::time::Instant;
 
 /// The pinned kernel subset: one divide-and-conquer kernel, one
@@ -94,39 +93,6 @@ fn main() {
                 grants as f64 / wall_s.max(1e-9)
             );
         }
-    }
-    // One sharded-fiber row on the 256-core machine that backend exists
-    // for. Arch-gated (the fiber runtimes are x86_64-linux only); its op
-    // hash must equal a Threads run of the same setup, so the row tracks
-    // both the sharded backend's speed and its determinism over time.
-    if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
-        let app = app_by_name("ligra-bfs").unwrap();
-        let mut setup = Setup::bt_256(Protocol::GpuWb, RuntimeKind::Dts);
-        setup.label.push_str("+sharded");
-        setup.sys = setup.sys.clone().with_backend(ExecBackend::ShardedFibers);
-        let t0 = Instant::now();
-        let r = run_app(&setup, &app, size, 0);
-        let wall_s = t0.elapsed().as_secs_f64();
-        let grants = r.run.report.seq_grants;
-        rows.push(PerfRow {
-            app: r.app,
-            setup: r.setup.clone(),
-            cycles: r.cycles,
-            seq_grants: grants,
-            seq_fast_grants: r.run.report.seq_fast_grants,
-            seq_op_hash: r.run.report.seq_op_hash,
-            wall_s,
-            ops_per_sec: grants as f64 / wall_s.max(1e-9),
-        });
-        eprintln!(
-            "[perf] {:<10} {:<16} {:>11} grants ({:>4.1}% fast)  {:>6.2}s  {:>10.0} ops/s",
-            r.app,
-            setup.label,
-            grants,
-            100.0 * r.run.report.seq_fast_grants as f64 / grants.max(1) as f64,
-            wall_s,
-            grants as f64 / wall_s.max(1e-9)
-        );
     }
     // One recorder-off row: the pinned rows above all run with the
     // default flight ring armed (it is always-on), so re-running one of

@@ -41,7 +41,6 @@ struct Beat {
     strip: String,
     conservation: Vec<(String, u64)>,
     faults: Vec<(String, u64)>,
-    islands: Vec<u64>,
     wall_ms: Option<u64>,
     rate: Option<f64>,
     tasks: Option<u64>,
@@ -72,11 +71,6 @@ fn parse_beat(line: &str) -> Option<Beat> {
         strip: doc.get("strip").and_then(Json::as_str)?.to_owned(),
         conservation: pairs("conservation"),
         faults: pairs("faults"),
-        islands: doc
-            .get("islands")
-            .and_then(Json::as_arr)
-            .map(|a| a.iter().filter_map(Json::as_num).map(|v| v as u64).collect())
-            .unwrap_or_default(),
         wall_ms: get_u64(&doc, "wall_ms"),
         rate: doc.get("grants_per_sec").and_then(Json::as_num),
         tasks: get_u64(&doc, "tasks_executed"),
@@ -130,15 +124,6 @@ fn render(beat: &Beat, rates: &[f64], beats_seen: usize) -> String {
         cores - running - retired,
         retired
     ));
-    if beat.islands.len() > 1 {
-        let lead = beat.islands.iter().max().copied().unwrap_or(0);
-        let lag = beat.islands.iter().min().copied().unwrap_or(0);
-        out.push_str(&format!(
-            "islands {:>2}  max lag {} cycles\n",
-            beat.islands.len(),
-            lead.saturating_sub(lag)
-        ));
-    }
     if let (Some(tasks), Some(steals)) = (beat.tasks, beat.steals) {
         out.push_str(&format!("tasks {:>9}  steals {:>8}\n", fmt_count(tasks), fmt_count(steals)));
     }

@@ -13,30 +13,19 @@ use crate::flight::{Heartbeat, DEFAULT_FLIGHT_CAPACITY};
 /// they differ only in host wall clock.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ExecBackend {
-    /// Pick automatically: fibers where supported (x86_64 Linux, watchdog
-    /// disarmed, `BIGTINY_BACKEND` not set to `threads` or `sharded`),
-    /// else threads. `BIGTINY_BACKEND=sharded` selects
-    /// [`ExecBackend::ShardedFibers`] where supported.
+    /// Pick automatically: fibers wherever supported (x86_64 Linux),
+    /// watchdog armed or not, else threads. `BIGTINY_BACKEND=threads`
+    /// forces threads and `BIGTINY_BACKEND=fibers` is the default; any
+    /// other value panics at run start.
     #[default]
     Auto,
-    /// One OS thread per simulated core. Portable, and required by the
-    /// watchdog's wall-clock fallback (a stalled run can only be observed
-    /// from a second runnable thread).
+    /// One OS thread per simulated core: the portable fallback off
+    /// x86_64 Linux, and the reference backend tests pin fibers against.
     Threads,
     /// Every core as a stackful fiber on the simulation thread: a token
     /// handoff is a user-space stack switch instead of a futex wake plus a
     /// kernel context switch. Panics at run start where unsupported.
     Fibers,
-    /// Cores sharded into mesh-quadrant islands, each island's fibers
-    /// driven by its own OS thread: token handoffs inside an island are
-    /// user-space stack switches, and only cross-island handoffs pay a
-    /// futex wake. Scales the fiber backend's wall-clock win to the
-    /// 256-core configuration, where one thread multiplexing every core
-    /// serializes the host. Produces the identical sequenced-op stream
-    /// (golden-pinned); supports the watchdog (the wall-clock fallback
-    /// runs in the island launchers). Panics at run start where
-    /// unsupported (non-x86_64-Linux).
-    ShardedFibers,
 }
 
 /// Grant tie-breaking policy of the sequencer.

@@ -11,10 +11,8 @@
 //!
 //! Only the switching primitive lives here; scheduling policy stays in the
 //! [`Sequencer`](crate::sequencer::Sequencer), which drives fibers through
-//! [`FiberRt`] — one runtime for the whole run on the single-threaded
-//! backend, or one per island on the sharded backend (where each runtime is
-//! still driven by exactly one OS thread: its island's launcher). The
-//! implementation is x86_64-Linux-only (the module is compiled out
+//! [`FiberRt`], one runtime for the whole run. The implementation is
+//! x86_64-Linux-only (the module is compiled out
 //! elsewhere and the engine falls back to the thread backend):
 //!
 //! - Stacks come from anonymous `mmap` with a `PROT_NONE` guard page at the
@@ -28,9 +26,8 @@
 //!   start and resume the same operation.
 //!
 //! Safety rules the callers uphold:
-//! - All fibers of one `FiberRt` are switched only from the one OS thread
-//!   that drives that runtime (the simulation thread, or the owning
-//!   island's thread under the sharded backend).
+//! - All fibers of a `FiberRt` are switched only from the simulation
+//!   thread that drives it.
 //! - An entry closure never returns: it must exit by switching away for
 //!   good (the trampoline aborts the process if one does return).
 //! - No lock guard is held across a switch (the target fiber may take the
@@ -231,18 +228,16 @@ pub(crate) enum FiberId {
     Launcher,
 }
 
-/// The saved contexts of one fiber-backed run (or of one island of a
-/// sharded run). Lives inside the
+/// The saved contexts of one fiber-backed run. Lives inside the
 /// [`Sequencer`](crate::sequencer::Sequencer) so token handoffs can switch
 /// directly between core fibers.
 ///
-/// All cells of a given runtime are only ever touched from the one OS
-/// thread that drives it: the simulation thread on the single-threaded
-/// backend, or the owning island's launcher thread (and the fibers it
-/// runs) on the sharded backend. The `Send`/`Sync` impls exist because the
-/// sequencer sits in an `Arc` shared across threads — core threads on the
-/// thread backend, island threads on the sharded one — and rustc cannot
-/// see that each runtime's cells stay thread-local by construction.
+/// All cells are only ever touched from the simulation thread (the
+/// launcher and the fibers it runs). The `Send`/`Sync` impls exist because
+/// the sequencer sits in an `Arc` shared across threads — core threads on
+/// the thread backend, the wall-clock watchdog beside either backend — and
+/// rustc cannot see that the runtime's cells stay thread-local by
+/// construction.
 #[derive(Debug)]
 pub(crate) struct FiberRt {
     /// Saved stack pointer of each suspended core fiber (or its initial
@@ -255,8 +250,8 @@ pub(crate) struct FiberRt {
     done: Vec<Cell<bool>>,
 }
 
-// SAFETY: see the struct docs — every runtime's cells are used from a
-// single driving thread by construction.
+// SAFETY: see the struct docs — the runtime's cells are used from the
+// single simulation thread by construction.
 unsafe impl Send for FiberRt {}
 unsafe impl Sync for FiberRt {}
 

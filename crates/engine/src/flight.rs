@@ -385,7 +385,7 @@ pub struct CoreBeat {
 /// Deterministic fields (identical across reruns and backends for the same
 /// config): `seq`, `time`, `total_grants`, `max_clock`, `breakdown`,
 /// `faults`. Out-of-band fields (host-timing artifacts): `fast_grants`,
-/// `cores`, `islands`. Wall-clock rates are added by the sink, never here.
+/// `cores`. Wall-clock rates are added by the sink, never here.
 #[derive(Debug, Clone)]
 pub struct HeartbeatSnap {
     /// Snapshot index (1-based; `total_grants / every`).
@@ -408,9 +408,6 @@ pub struct HeartbeatSnap {
     pub faults: [u64; 6],
     /// Per-core scheduler strip (out-of-band).
     pub cores: Vec<CoreBeat>,
-    /// Per-island maximum granted time under ShardedFibers (empty on the
-    /// other backends); island lag is `max(islands) - islands[i]`.
-    pub islands: Vec<u64>,
 }
 
 impl HeartbeatSnap {
@@ -421,7 +418,6 @@ impl HeartbeatSnap {
         fast_grants: u64,
         live: Option<&LiveCounters>,
         cores: Vec<CoreBeat>,
-        islands: Vec<u64>,
     ) -> Self {
         HeartbeatSnap {
             seq,
@@ -432,7 +428,6 @@ impl HeartbeatSnap {
             breakdown: live.map_or([0; 9], |l| l.breakdown_sums()),
             faults: live.map_or([0; 6], |l| l.fault_sums()),
             cores,
-            islands,
         }
     }
 }

@@ -1,24 +1,27 @@
 //! Deterministic min-time token sequencing of simulated cores.
 //!
-//! Each simulated core runs on its own OS thread so that arbitrarily nested
-//! task execution keeps a real call stack, but **at most one core thread
-//! executes at a time**: before any operation that touches shared simulated
-//! state, a core enters the sequencer with its local clock and is granted
-//! the token only when it holds the globally minimum `(time, core_id)`.
-//! This makes the whole simulation a single logical thread of execution in
-//! simulated-time order — bit-for-bit deterministic and free of data races
-//! by construction.
+//! Each simulated core keeps a real call stack of its own — a stackful
+//! fiber on the simulation thread, or an OS thread on the portable
+//! backend — so arbitrarily nested task execution works, but **at most one
+//! core executes at a time**: before any operation that touches shared
+//! simulated state, a core enters the sequencer with its local clock and is
+//! granted the token only when it holds the globally minimum
+//! `(time, core_id)`. This makes the whole simulation a single logical
+//! thread of execution in simulated-time order — bit-for-bit deterministic
+//! and free of data races by construction.
 //!
 //! The sequencer doubles as the attachment point of the liveness
 //! [`watchdog`](crate::watchdog): every grant is counted, and if too many
-//! grants pass without a progress mark (or a parked core observes no grant
-//! activity at all for the wall-clock fallback window) the sequencer is
-//! poisoned with [`PoisonReason::Watchdog`] and every core unwinds.
+//! grants pass without a progress mark (or the wall-clock detector,
+//! [`Sequencer::watch_wall_clock`], sees no grant and no productive local
+//! work for a whole window) the sequencer is poisoned with
+//! [`PoisonReason::Watchdog`] and every core unwinds.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 use crate::fiber::{FiberId, FiberRt};
@@ -96,6 +99,15 @@ use crate::config::SchedulePolicy;
 
 use crate::hash::{fold_u64, FNV_OFFSET};
 
+/// Increments a counter that only the executing core writes (see
+/// `Sequencer::since_progress`) and returns the new value.
+#[inline]
+fn bump(counter: &AtomicU64) -> u64 {
+    let v = counter.load(Ordering::Relaxed) + 1;
+    counter.store(v, Ordering::Relaxed);
+    v
+}
+
 /// Folds one `(time, core)` grant into the op-stream hash.
 #[inline]
 fn fold_grant(h: u64, time: u64, core: usize) -> u64 {
@@ -108,6 +120,15 @@ pub struct Sequencer {
     inner: Mutex<Inner>,
     watchdog: Option<WatchdogConfig>,
     /// Grants since the last progress mark (watchdog budget counter).
+    ///
+    /// The counters are bumped with a plain load + store rather than an
+    /// atomic read-modify-write, which was a measurable per-grant cost.
+    /// Successive writers are ordered by the sequencer itself: grants are
+    /// counted under the lock, and only the one core the sequencer lets
+    /// run charges `activity`, with the lock ordering each handover (on
+    /// threads, cores still in their startup wave can race there, which can
+    /// only drop a liveness tick). `Relaxed` suffices because the counters publish no
+    /// other data; the wall-clock detector only needs to see them move.
     since_progress: AtomicU64,
     /// Total grants over the run (wall-clock stall discriminator + stats).
     total_grants: AtomicU64,
@@ -134,18 +155,9 @@ pub struct Sequencer {
     /// core instead of parking — no futex, no kernel context switch. The
     /// grant-selection logic is shared with the thread backend, so both
     /// produce the identical sequenced-op stream (pinned by the golden
-    /// hashes). Mutually exclusive with the watchdog: its wall-clock
-    /// fallback needs a second runnable thread.
+    /// hashes).
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     fiber: Option<FiberRt>,
-    /// Sharded-backend contexts: cores are fibers partitioned into mesh
-    /// islands, each island driven by its own OS thread (see
-    /// [`ShardedRt`]). Intra-island handoffs are user-space switches;
-    /// cross-island handoffs unpark the target island's launcher thread.
-    /// Grant selection is still the single global `(time, core)` minimum,
-    /// so the op stream is identical to both other backends.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    sharded: Option<ShardedRt>,
     /// Heartbeat hook: every `heartbeat.every` grants the granting core
     /// emits a [`HeartbeatSnap`] *after* releasing the sequencer lock (the
     /// sink may do I/O). `None` is zero-cost: one never-taken branch in
@@ -159,67 +171,6 @@ pub struct Sequencer {
 struct HeartbeatHook {
     config: Heartbeat,
     live: Arc<LiveCounters>,
-}
-
-/// Runtime state of the sharded fiber backend: the island partition and
-/// one [`FiberRt`] per island.
-///
-/// Unlike the single-thread fiber backend, each island's `FiberRt` is
-/// touched only by that island's OS thread (its launcher and its own
-/// fibers); the sequencer lock serializes everything else. The conservative
-/// cross-island lookahead derived from mesh hop latency is carried along as
-/// the bound a relaxed (non-bit-exact) mode could exploit — see DESIGN.md.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-#[derive(Debug)]
-pub(crate) struct ShardedRt {
-    /// Island index of each core.
-    island_of: Vec<usize>,
-    /// Per-island fiber runtimes. Each is sized for *global* core ids so
-    /// no id translation happens on the switch path; only the island's own
-    /// slots are ever used.
-    rts: Vec<FiberRt>,
-    /// Minimum cross-island mesh latency in cycles: no interaction between
-    /// islands can land earlier than this after it was initiated.
-    lookahead: u64,
-}
-
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-impl ShardedRt {
-    /// Builds the runtime for `islands` (a partition of `0..num_cores`).
-    pub(crate) fn new(islands: &[Vec<usize>], num_cores: usize, lookahead: u64) -> Self {
-        let mut island_of = vec![usize::MAX; num_cores];
-        for (idx, isl) in islands.iter().enumerate() {
-            for &c in isl {
-                island_of[c] = idx;
-            }
-        }
-        assert!(island_of.iter().all(|&i| i != usize::MAX), "islands must partition the cores");
-        ShardedRt {
-            island_of,
-            rts: (0..islands.len()).map(|_| FiberRt::new(num_cores)).collect(),
-            lookahead,
-        }
-    }
-
-    /// Island index of `core`.
-    pub(crate) fn island_of(&self, core: usize) -> usize {
-        self.island_of[core]
-    }
-
-    /// The fiber runtime of `island`.
-    pub(crate) fn rt(&self, island: usize) -> &FiberRt {
-        &self.rts[island]
-    }
-
-    /// Number of islands.
-    pub(crate) fn num_islands(&self) -> usize {
-        self.rts.len()
-    }
-
-    /// The conservative cross-island lookahead in cycles.
-    pub(crate) fn lookahead(&self) -> u64 {
-        self.lookahead
-    }
 }
 
 impl Sequencer {
@@ -246,8 +197,6 @@ impl Sequencer {
             poison_flag: AtomicBool::new(false),
             #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
             fiber: None,
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            sharded: None,
             heartbeat: None,
         }
     }
@@ -280,21 +229,18 @@ impl Sequencer {
         self.inner.lock().script.as_ref().map_or_else(Vec::new, |s| s.choices.clone())
     }
 
-    /// Arms the liveness watchdog. Must be called before core threads
-    /// start.
+    /// Arms the liveness watchdog. Must be called before the run starts;
+    /// the wall-clock fallback also needs [`Sequencer::watch_wall_clock`]
+    /// running beside the cores (`run_system` does this).
     pub fn set_watchdog(&mut self, config: WatchdogConfig) {
         assert!(config.budget > 0, "watchdog budget must be positive");
-        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        assert!(self.fiber.is_none(), "the watchdog requires the thread backend");
         self.watchdog = Some(config);
     }
 
     /// Switches this sequencer to the fiber backend. Must be called before
-    /// the run starts; incompatible with an armed watchdog (the wall-clock
-    /// fallback needs a second runnable thread to observe a stall).
+    /// the run starts.
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     pub(crate) fn set_fiber_backend(&mut self, rt: FiberRt) {
-        assert!(self.watchdog.is_none(), "fiber backend is incompatible with the watchdog");
         self.fiber = Some(rt);
     }
 
@@ -304,79 +250,68 @@ impl Sequencer {
         self.fiber.as_ref()
     }
 
-    /// Switches this sequencer to the sharded fiber backend. Must be
-    /// called before the run starts. Compatible with the watchdog: the
-    /// grant-budget check runs on whichever fiber grants (as on threads),
-    /// and the wall-clock fallback runs in the island launcher threads.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub(crate) fn set_sharded_backend(&mut self, rt: ShardedRt) {
-        assert!(self.fiber.is_none(), "fiber and sharded backends are mutually exclusive");
-        self.sharded = Some(rt);
-    }
-
-    /// The sharded-backend runtime, if this sequencer uses it.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub(crate) fn sharded_rt(&self) -> Option<&ShardedRt> {
-        self.sharded.as_ref()
-    }
-
-    /// The core currently granted the token, if it belongs to `island`.
-    /// Island launchers poll this after an unpark to learn whether a
-    /// cross-island handoff dispatched one of their fibers. Sound to act
-    /// on: a granted core of this island can only be *suspended* while its
-    /// launcher executes (fibers of an island never run concurrently with
-    /// their launcher).
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub(crate) fn granted_core_on_island(&self, island: usize) -> Option<usize> {
-        let g = self.inner.lock();
-        let sh = self.sharded.as_ref()?;
-        match g.current {
-            Some(c) if sh.island_of[c] == island => Some(c),
-            _ => None,
+    /// The wall-clock stall detector shared by every backend; a no-op when
+    /// no watchdog is armed. Run it on a thread of its own for the whole
+    /// run: every `wall_ms` window it compares the liveness counters
+    /// (`total_grants`, `activity`), and if neither moved — no grant and no
+    /// productive local work anywhere — the run is stuck, not slow, and it
+    /// poisons the sequencer with a [`PoisonReason::Watchdog`] naming the
+    /// earliest waiter. Parked threads are unparked into `enter`'s poison
+    /// assertion; a running core (fiber or thread) sees the poison flag at
+    /// its next charge. The detector never panics itself: the unwinding
+    /// cores raise the panics `run_system` reports as a watchdog bundle.
+    ///
+    /// Returns as soon as `stop` receives or its sender is dropped, so a
+    /// run never waits out a window at exit.
+    pub fn watch_wall_clock(&self, stop: &Receiver<()>) {
+        let Some(wd) = self.watchdog else { return };
+        let window = Duration::from_millis(wd.wall_ms);
+        let mut before = self.liveness_snapshot();
+        while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(window) {
+            let now = self.liveness_snapshot();
+            if now == before {
+                self.stall_trip();
+                return;
+            }
+            before = now;
         }
     }
 
-    /// Non-panicking watchdog trip for island launcher threads: poisons
-    /// with a [`PoisonReason::Watchdog`] naming the earliest waiter and
-    /// wakes every thread. The launchers then drain their fibers, whose
-    /// `enter` assertions raise the panics `run_system` reports as a
-    /// watchdog diagnostic bundle. (The launcher itself must not panic —
-    /// its unwind would bypass report collection.)
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub(crate) fn launcher_trip(&self) {
+    /// Non-panicking watchdog trip of the wall-clock detector: poisons with
+    /// a [`PoisonReason::Watchdog`] naming the earliest waiter and wakes
+    /// every parked thread.
+    fn stall_trip(&self) {
         let mut g = self.inner.lock();
         if g.poisoned {
             return;
         }
         let (time, core) = g.waiting.iter().next().copied().unwrap_or((0, 0));
+        self.poison_locked(&mut g, PoisonReason::Watchdog { core, time });
+    }
+
+    /// Poisons for `reason` (an earlier reason wins) and wakes every parked
+    /// thread so its `enter` observes the poison.
+    fn poison_locked(&self, g: &mut Inner, reason: PoisonReason) {
         g.poisoned = true;
-        g.reason.get_or_insert(PoisonReason::Watchdog { core, time });
+        g.reason.get_or_insert(reason);
         self.poison_flag.store(true, Ordering::Relaxed);
         for t in g.threads.iter().flatten() {
             t.unpark();
         }
     }
 
-    /// The armed watchdog configuration, if any (island launchers read the
-    /// wall-clock window from it).
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub(crate) fn watchdog_config(&self) -> Option<WatchdogConfig> {
-        self.watchdog
-    }
-
-    /// Snapshot of the liveness counters island launchers compare across a
-    /// wall-clock window: `(total_grants, activity)`.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub(crate) fn liveness_snapshot(&self) -> (u64, u64) {
+    /// Snapshot of the liveness counters the wall-clock detector compares
+    /// across a window: `(total_grants, activity)`.
+    fn liveness_snapshot(&self) -> (u64, u64) {
         (self.total_grants.load(Ordering::Relaxed), self.activity.load(Ordering::Relaxed))
     }
 
     /// Grants the token to a minimum-*time* waiter, if any. This is the
-    /// single grant-selection rule shared by every execution backend, so
-    /// threads, fibers, and sharded fibers produce the identical op
-    /// stream. Under [`SchedulePolicy::MinCore`] a time tie goes to the
-    /// lowest core id; under [`SchedulePolicy::Scripted`] the script picks
-    /// among the tied cores and the tie is recorded as a [`ChoicePoint`].
+    /// single grant-selection rule shared by both execution backends, so
+    /// threads and fibers produce the identical op stream. Under
+    /// [`SchedulePolicy::MinCore`] a time tie goes to the lowest core id;
+    /// under [`SchedulePolicy::Scripted`] the script picks among the tied
+    /// cores and the tie is recorded as a [`ChoicePoint`].
     fn pick_next(inner: &mut Inner) -> Option<usize> {
         debug_assert!(inner.current.is_none());
         let core = if inner.script.is_none() {
@@ -435,10 +370,9 @@ impl Sequencer {
         g.cores[core].grants += 1;
         g.cores[core].last_time = time;
         g.op_hash = fold_grant(g.op_hash, time, core);
-        let total = self.total_grants.fetch_add(1, Ordering::Relaxed) + 1;
+        let total = bump(&self.total_grants);
         if let Some(wd) = self.watchdog {
-            let since = self.since_progress.fetch_add(1, Ordering::Relaxed) + 1;
-            if since > wd.budget {
+            if bump(&self.since_progress) > wd.budget {
                 self.trip(g, core, time);
             }
         }
@@ -455,12 +389,11 @@ impl Sequencer {
     fn emit_heartbeat(&self, time: u64) {
         let Some(hb) = &self.heartbeat else { return };
         let total = self.total_grants.load(Ordering::Relaxed);
-        let (cores, islands) = {
+        let cores = {
             let g = self.inner.lock();
             let waiting: std::collections::HashMap<usize, u64> =
                 g.waiting.iter().map(|&(t, c)| (c, t)).collect();
-            let cores: Vec<CoreBeat> = g
-                .cores
+            g.cores
                 .iter()
                 .enumerate()
                 .map(|(core, s)| CoreBeat {
@@ -469,9 +402,7 @@ impl Sequencer {
                     retired: s.retired,
                     waiting_at: waiting.get(&core).copied(),
                 })
-                .collect();
-            let islands = self.island_times(&cores);
-            (cores, islands)
+                .collect()
         };
         let snap = HeartbeatSnap::new(
             total / hb.config.every,
@@ -480,37 +411,13 @@ impl Sequencer {
             self.fast_grants.load(Ordering::Relaxed),
             Some(hb.live.as_ref()),
             cores,
-            islands,
         );
         (hb.config.sink)(&snap);
     }
 
-    /// Per-island maximum granted time under the sharded backend (empty
-    /// elsewhere).
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    fn island_times(&self, cores: &[CoreBeat]) -> Vec<u64> {
-        let Some(sh) = &self.sharded else { return Vec::new() };
-        let mut out = vec![0u64; sh.num_islands()];
-        for (core, beat) in cores.iter().enumerate() {
-            let isl = sh.island_of(core);
-            out[isl] = out[isl].max(beat.last_time);
-        }
-        out
-    }
-
-    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-    fn island_times(&self, _cores: &[CoreBeat]) -> Vec<u64> {
-        Vec::new()
-    }
-
     /// Poisons with a watchdog reason and panics on the calling thread.
     fn trip(&self, g: &mut Inner, core: usize, time: u64) -> ! {
-        g.poisoned = true;
-        g.reason.get_or_insert(PoisonReason::Watchdog { core, time });
-        self.poison_flag.store(true, Ordering::Relaxed);
-        for t in g.threads.iter().flatten() {
-            t.unpark();
-        }
+        self.poison_locked(g, PoisonReason::Watchdog { core, time });
         panic!("{WATCHDOG_MSG} (tripped on core {core} at cycle {time})");
     }
 
@@ -540,7 +447,7 @@ impl Sequencer {
         };
         if g.running == 1 && g.current.is_none() && fast_ok {
             g.current = Some(core);
-            self.fast_grants.fetch_add(1, Ordering::Relaxed);
+            bump(&self.fast_grants);
             let hb_due = self.record_grant(&mut g, core, time);
             drop(g);
             if hb_due {
@@ -551,10 +458,6 @@ impl Sequencer {
         #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
         if self.fiber.is_some() {
             return self.enter_fiber(g, core, time);
-        }
-        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        if self.sharded.is_some() {
-            return self.enter_sharded(g, core, time);
         }
         if g.threads[core].is_none() {
             g.threads[core] = Some(std::thread::current());
@@ -570,34 +473,9 @@ impl Sequencer {
         }
         while g.current != Some(core) {
             assert!(!g.poisoned, "{}", POISON_MSG);
-            match self.watchdog {
-                None => {
-                    drop(g);
-                    std::thread::park();
-                    g = self.inner.lock();
-                }
-                Some(wd) => {
-                    let before = self.total_grants.load(Ordering::Relaxed);
-                    let before_act = self.activity.load(Ordering::Relaxed);
-                    let window = Duration::from_millis(wd.wall_ms);
-                    let t0 = Instant::now();
-                    drop(g);
-                    std::thread::park_timeout(window);
-                    let timed_out = t0.elapsed() >= window;
-                    g = self.inner.lock();
-                    if timed_out
-                        && !g.poisoned
-                        && g.current != Some(core)
-                        && self.total_grants.load(Ordering::Relaxed) == before
-                        && self.activity.load(Ordering::Relaxed) == before_act
-                    {
-                        // Nothing was granted anywhere AND no core did any
-                        // productive local work for the whole window: the
-                        // run is stuck, not slow.
-                        self.trip(&mut g, core, time);
-                    }
-                }
-            }
+            drop(g);
+            std::thread::park();
+            g = self.inner.lock();
         }
         assert!(!g.poisoned, "{}", POISON_MSG);
         let removed = g.waiting.remove(&(time, core));
@@ -660,87 +538,11 @@ impl Sequencer {
         }
     }
 
-    /// Sharded-backend slow path of [`Sequencer::enter`]: bookkeeping and
-    /// grant selection identical to both other backends, but the yield
-    /// depends on where the dispatched core lives. A same-island grantee
-    /// is resumed by a direct user-space stack switch; a cross-island
-    /// grantee is woken by unparking its island's thread (the one futex
-    /// point of this backend), after which the caller yields to its own
-    /// island launcher.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    fn enter_sharded<'a>(
-        &'a self,
-        mut g: crate::sync::MutexGuard<'a, Inner>,
-        core: usize,
-        time: u64,
-    ) {
-        let sh = self.sharded.as_ref().expect("sharded backend armed");
-        let island = sh.island_of[core];
-        let rt = &sh.rts[island];
-        // Register the island thread under this core so `poison`'s
-        // unpark-all and cross-island dispatch reach our launcher.
-        if g.threads[core].is_none() {
-            g.threads[core] = Some(std::thread::current());
-        }
-        g.waiting.insert((time, core));
-        g.running -= 1;
-        loop {
-            if g.current == Some(core) {
-                break;
-            }
-            assert!(!g.poisoned, "{}", POISON_MSG);
-            // `running > 0` means unstarted fibers remain somewhere (every
-            // started, live, non-waiting fiber is the caller itself):
-            // yield to our launcher; the token will find us by unpark.
-            if g.running == 0 && g.current.is_none() {
-                match Self::pick_next(&mut g) {
-                    Some(c) if c == core => continue, // re-granted ourselves
-                    Some(c) if sh.island_of[c] == island => {
-                        drop(g);
-                        // SAFETY: same island ⇒ same OS thread; the target
-                        // is a live suspended waiter, no guard is held.
-                        unsafe { rt.switch(FiberId::Core(core), FiberId::Core(c)) };
-                    }
-                    Some(c) => {
-                        let t = g.threads[c]
-                            .clone()
-                            .expect("waiting core has registered its island thread");
-                        drop(g);
-                        // Unpark strictly after the lock release so the
-                        // woken launcher never contends on it.
-                        t.unpark();
-                        // SAFETY: yielding to our own launcher, which is
-                        // suspended whenever one of its fibers runs.
-                        unsafe { rt.switch(FiberId::Core(core), FiberId::Launcher) };
-                    }
-                    None => unreachable!("we inserted ourselves into the waiting set"),
-                }
-            } else {
-                drop(g);
-                // SAFETY: as above — our launcher is suspended.
-                unsafe { rt.switch(FiberId::Core(core), FiberId::Launcher) };
-            }
-            g = self.inner.lock();
-        }
-        assert!(!g.poisoned, "{}", POISON_MSG);
-        let removed = g.waiting.remove(&(time, core));
-        debug_assert!(removed, "granted core must be in the waiting set");
-        g.running += 1;
-        let hb_due = self.record_grant(&mut g, core, time);
-        drop(g);
-        if hb_due {
-            self.emit_heartbeat(time);
-        }
-    }
-
     /// Fiber-backend retirement: the usual bookkeeping, plus the choice of
     /// where the finished fiber must switch next — the dispatched minimum
     /// waiter, or the launcher when none exists (run over, or poison drain
     /// in progress). The caller performs the switch after storing its
     /// report, because nothing else runs until it yields the thread.
-    ///
-    /// Shared with the sharded backend, where a cross-island grantee is
-    /// woken through its launcher instead of switched to directly.
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     pub(crate) fn retire_fiber_target(&self, core: usize) -> FiberId {
         let mut g = self.inner.lock();
@@ -751,16 +553,6 @@ impl Sequencer {
         g.running -= 1;
         if g.running == 0 && g.current.is_none() {
             if let Some(c) = Self::pick_next(&mut g) {
-                if let Some(sh) = self.sharded.as_ref() {
-                    if sh.island_of[c] != sh.island_of[core] {
-                        let t = g.threads[c]
-                            .clone()
-                            .expect("waiting core has registered its island thread");
-                        drop(g);
-                        t.unpark();
-                        return FiberId::Launcher;
-                    }
-                }
                 return FiberId::Core(c);
             }
         }
@@ -814,20 +606,6 @@ impl Sequencer {
         self.fast_grants.load(Ordering::Relaxed)
     }
 
-    /// Conservative cross-island lookahead of the sharded backend in
-    /// cycles, or 0 on the other backends (and on hosts without fiber
-    /// support).
-    pub fn sharded_lookahead(&self) -> u64 {
-        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        {
-            self.sharded.as_ref().map_or(0, |s| s.lookahead())
-        }
-        #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-        {
-            0
-        }
-    }
-
     /// Order-sensitive hash of the `(time, core)` grant stream so far.
     pub fn op_hash(&self) -> u64 {
         self.inner.lock().op_hash
@@ -836,13 +614,7 @@ impl Sequencer {
     /// Marks the simulation as failed (a core panicked) and wakes every
     /// waiting core so its `enter` panics too, unwinding all threads.
     pub fn poison(&self) {
-        let mut g = self.inner.lock();
-        g.poisoned = true;
-        g.reason.get_or_insert(PoisonReason::WorkerPanic);
-        self.poison_flag.store(true, Ordering::Relaxed);
-        for t in g.threads.iter().flatten() {
-            t.unpark();
-        }
+        self.poison_locked(&mut self.inner.lock(), PoisonReason::WorkerPanic);
     }
 
     /// Lock-free poison check for hot purely-local paths (see
@@ -861,7 +633,7 @@ impl Sequencer {
     /// a grant, so an idle spinner with zero grants is genuinely stuck.
     pub(crate) fn note_local_progress(&self) {
         if self.watchdog.is_some() {
-            self.activity.fetch_add(1, Ordering::Relaxed);
+            bump(&self.activity);
         }
     }
 
@@ -1115,8 +887,27 @@ mod tests {
             }));
             assert!(r.is_err(), "stalled run must trip the wall-clock fallback");
         });
+        let (_stop, rx) = std::sync::mpsc::channel();
+        seq.watch_wall_clock(&rx);
         h.join().unwrap();
         assert!(matches!(seq.poison_reason(), Some(PoisonReason::Watchdog { .. })));
+    }
+
+    /// The detector returns as soon as its stop channel closes, long before
+    /// its window, and never trips a run that simply ended.
+    #[test]
+    fn wall_clock_detector_stops_without_waiting_out_its_window() {
+        let mut seq = Sequencer::new(1);
+        seq.set_watchdog(WatchdogConfig { budget: 1_000_000, wall_ms: 60_000 });
+        let (stop, rx) = std::sync::mpsc::channel::<()>();
+        let t0 = std::time::Instant::now();
+        let seq = &seq;
+        std::thread::scope(|s| {
+            s.spawn(move || seq.watch_wall_clock(&rx));
+            drop(stop);
+        });
+        assert!(t0.elapsed() < std::time::Duration::from_secs(10));
+        assert!(!seq.is_poisoned());
     }
 
     #[test]

@@ -112,7 +112,6 @@ impl CoreParams {
 enum Backend {
     Threads,
     Fibers,
-    Sharded,
 }
 
 impl Backend {
@@ -121,13 +120,12 @@ impl Backend {
         match self {
             Backend::Threads => "threads",
             Backend::Fibers => "fibers",
-            Backend::Sharded => "sharded-fibers",
         }
     }
 }
 
 /// The stable lower-case name of the backend a run of `config` resolves to
-/// (`threads`, `fibers`, `sharded-fibers`) — the same string
+/// (`threads` or `fibers`) — the same string
 /// [`DiagnosticBundle::backend`](crate::DiagnosticBundle) carries, for
 /// harnesses labelling black-box dumps of runs that completed without a
 /// bundle. `Auto` resolution consults `BIGTINY_BACKEND`, so call it in the
@@ -145,26 +143,37 @@ fn resolve_backend(config: &SystemConfig) -> Backend {
             assert!(supported, "ExecBackend::Fibers requires x86_64 Linux");
             Backend::Fibers
         }
-        ExecBackend::ShardedFibers => {
-            assert!(supported, "ExecBackend::ShardedFibers requires x86_64 Linux");
-            Backend::Sharded
-        }
         ExecBackend::Auto => {
-            if !supported {
-                return Backend::Threads;
-            }
-            match std::env::var("BIGTINY_BACKEND").as_deref() {
-                Ok("threads") => Backend::Threads,
-                Ok("sharded") => Backend::Sharded,
-                _ if config.watchdog_budget.is_none() => Backend::Fibers,
+            let env = std::env::var_os("BIGTINY_BACKEND");
+            match backend_override(env.as_ref().map(|v| v.to_string_lossy()).as_deref()) {
+                Some(Backend::Threads) => Backend::Threads,
+                _ if supported => Backend::Fibers,
                 _ => Backend::Threads,
             }
         }
     }
 }
 
-/// Runs every core on its own OS thread (the portable backend, and the only
-/// one compatible with the watchdog's wall-clock fallback).
+/// Parses a `BIGTINY_BACKEND` value: unset means no override, `threads`
+/// and `fibers` pick that backend.
+///
+/// # Panics
+///
+/// Panics on any other value, so a typo never silently falls back to the
+/// default backend.
+fn backend_override(value: Option<&str>) -> Option<Backend> {
+    match value {
+        None => None,
+        Some("threads") => Some(Backend::Threads),
+        Some("fibers") => Some(Backend::Fibers),
+        Some(other) => {
+            panic!("BIGTINY_BACKEND=`{other}` is not a backend; accepted values: threads, fibers")
+        }
+    }
+}
+
+/// Runs every core on its own OS thread (the portable backend, and the
+/// reference the fiber backend is pinned against).
 fn run_cores_on_threads(
     config: &SystemConfig,
     workers: Vec<Worker>,
@@ -294,167 +303,6 @@ fn run_cores_on_fibers(
     // Dropping `fibers` unmaps every stack; all fibers are done here.
 }
 
-/// Runs cores as stackful fibers sharded into mesh-quadrant islands, one
-/// OS thread per island. Fibers of the same island hand the token to each
-/// other with pure user-space stack switches; only a cross-island handoff
-/// pays a futex (unparking the target island's launcher thread). Grant
-/// selection is the sequencer's single global `(time, core)` minimum, so
-/// the sequenced-op stream is bit-for-bit identical to the other backends.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn run_cores_on_sharded_fibers(
-    config: &SystemConfig,
-    workers: Vec<Worker>,
-    shared: &Arc<Shared>,
-    reports: &PortReports,
-    panics: &Panics,
-) {
-    let num_islands = shared.seq.sharded_rt().expect("sharded backend installed").num_islands();
-    let mut members: Vec<Vec<(usize, Worker)>> = (0..num_islands).map(|_| Vec::new()).collect();
-    {
-        let sh = shared.seq.sharded_rt().expect("sharded backend installed");
-        for (core, worker) in workers.into_iter().enumerate() {
-            members[sh.island_of(core)].push((core, worker));
-        }
-    }
-    std::thread::scope(|scope| {
-        for (island, own) in members.into_iter().enumerate() {
-            let shared = Arc::clone(shared);
-            let reports = Arc::clone(reports);
-            let panics = Arc::clone(panics);
-            std::thread::Builder::new()
-                .name(format!("sim-island-{island}"))
-                .spawn_scoped(scope, move || {
-                    drive_island(config, island, own, shared, reports, panics);
-                })
-                .expect("spawn island launcher thread");
-        }
-    });
-}
-
-/// One island's launcher: builds the island's fibers, starts them in core
-/// order, then keeps resuming whichever of its fibers holds (or is being
-/// handed) the token until all of them are done.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn drive_island(
-    config: &SystemConfig,
-    island: usize,
-    own: Vec<(usize, Worker)>,
-    shared: Arc<Shared>,
-    reports: PortReports,
-    panics: Panics,
-) {
-    use crate::fiber::{Fiber, FiberId, FiberRt};
-    use std::time::{Duration, Instant};
-
-    let stack_bytes = config.core_stack_bytes();
-    let rt = shared.seq.sharded_rt().expect("sharded backend installed").rt(island);
-    // The runtime outlives every fiber switch: it lives inside `Shared`,
-    // which this launcher keeps alive until after all its fibers are done.
-    let rt_ptr: *const FiberRt = rt;
-    let own_cores: Vec<usize> = own.iter().map(|(c, _)| *c).collect();
-
-    let mut fibers = Vec::with_capacity(own.len());
-    for (core, worker) in own {
-        let shared = Arc::clone(&shared);
-        let reports = Arc::clone(&reports);
-        let panics = Arc::clone(&panics);
-        let params = CoreParams::of(config, core);
-        let entry = Box::new(move || {
-            let mut port = params.build_port(core, &shared);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                worker(&mut port);
-            }));
-            let next = match result {
-                Ok(()) => shared.seq.retire_fiber_target(core),
-                Err(payload) => {
-                    panics.lock().push(payload);
-                    shared.seq.poison();
-                    FiberId::Launcher
-                }
-            };
-            reports.lock()[core] = Some(port.into_report());
-            // Control never returns to this closure: drop every owned
-            // handle before the final switch (see `run_cores_on_fibers`).
-            drop(shared);
-            drop(reports);
-            drop(panics);
-            // SAFETY: `rt_ptr` stays valid (see above); this fiber is
-            // marked done and never resumed, and `next` is either a live
-            // same-island waiter or this island's suspended launcher.
-            unsafe {
-                (*rt_ptr).mark_done(core);
-                (*rt_ptr).switch(FiberId::Core(core), next);
-            }
-            unreachable!("a finished fiber must never be resumed");
-        });
-        let fiber = Fiber::new(stack_bytes, entry);
-        rt.set_initial(core, fiber.initial_ctx());
-        fibers.push(fiber);
-    }
-
-    // Start every own fiber in core order (the threaded backend's spawn
-    // order); each runs until its first sequencer suspension. No token can
-    // be granted anywhere before every core in the system has entered the
-    // sequencer once (`running` only reaches 0 then), so the startup wave
-    // runs concurrently across islands yet cannot reorder sequenced ops.
-    for &core in &own_cores {
-        // SAFETY: the fiber is unstarted, and only this thread ever
-        // switches fibers of this island's runtime.
-        unsafe { rt.switch(FiberId::Launcher, FiberId::Core(core)) };
-    }
-
-    loop {
-        if own_cores.iter().all(|&c| rt.is_done(c)) {
-            break;
-        }
-        if shared.seq.check_poison() {
-            // Poison drain: resume any live fiber; its sequencer re-entry
-            // observes the poison and unwinds it to done.
-            let c = own_cores.iter().copied().find(|&c| !rt.is_done(c)).unwrap();
-            // SAFETY: live suspended fiber of this island.
-            unsafe { rt.switch(FiberId::Launcher, FiberId::Core(c)) };
-            continue;
-        }
-        if let Some(c) = shared.seq.granted_core_on_island(island) {
-            // A granted core of this island is always a live, suspended
-            // waiter (it cannot retire while still holding a pending
-            // grant); the `is_done` guard is pure defensive depth.
-            if !rt.is_done(c) {
-                // SAFETY: as above.
-                unsafe { rt.switch(FiberId::Launcher, FiberId::Core(c)) };
-            }
-            continue;
-        }
-        // Nothing to run on this island: sleep until a cross-island
-        // handoff (or poison) unparks us. The unpark token is sticky, so a
-        // wake delivered between the checks above and the park is never
-        // lost. With a watchdog armed, this launcher doubles as the
-        // wall-clock stall detector (the role `enter`'s park_timeout plays
-        // on the thread backend).
-        match shared.seq.watchdog_config() {
-            None => std::thread::park(),
-            Some(wd) => {
-                let before = shared.seq.liveness_snapshot();
-                let window = Duration::from_millis(wd.wall_ms);
-                let t0 = Instant::now();
-                std::thread::park_timeout(window);
-                if t0.elapsed() >= window
-                    && !shared.seq.check_poison()
-                    && shared.seq.liveness_snapshot() == before
-                {
-                    // No grant and no productive local work anywhere for a
-                    // full window: the run is stuck, not slow. Poison
-                    // without panicking — the drained fibers raise the
-                    // panics, keeping this launcher alive to collect their
-                    // reports for the diagnostic bundle.
-                    shared.seq.launcher_trip();
-                }
-            }
-        }
-    }
-    // Dropping `fibers` unmaps the island's stacks; all are done here.
-}
-
 /// Summary of the ULI network's activity during a run.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct UliReport {
@@ -508,13 +356,6 @@ pub struct RunReport {
     /// Grants that took the sequencer's inline fast re-grant path (a
     /// host-performance diagnostic; has no simulated-time meaning).
     pub seq_fast_grants: u64,
-    /// Conservative cross-island lookahead of the sharded backend in
-    /// cycles (0 on the other backends): the bound below which no
-    /// cross-island interaction can land, derived from the minimum
-    /// cross-island mesh hop latency. A host-level diagnostic; the
-    /// bit-exact backends never let islands run ahead, so it has no
-    /// simulated-time meaning.
-    pub seq_lookahead: u64,
     /// Order-sensitive hash of the sequenced-op stream (every `(time,
     /// core)` token grant, in grant order). Identical runs produce
     /// identical hashes; golden-trace tests pin this value to prove engine
@@ -613,19 +454,8 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         seq.set_watchdog(WatchdogConfig { budget, wall_ms: config.watchdog_wall_ms });
     }
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    match backend {
-        Backend::Fibers => seq.set_fiber_backend(crate::fiber::FiberRt::new(num_cores)),
-        Backend::Sharded => {
-            let islands = config.topology().quadrant_islands(num_cores);
-            // Minimum cross-island mesh latency: one cycle per hop each
-            // way plus the receiving unit's cycle — the same formula the
-            // ULI network charges for a `hops`-hop message.
-            let lookahead = u64::from(config.topology().min_cross_island_hops(&islands)) * 2 + 1;
-            seq.set_sharded_backend(crate::sequencer::ShardedRt::new(
-                &islands, num_cores, lookahead,
-            ));
-        }
-        Backend::Threads => {}
+    if backend == Backend::Fibers {
+        seq.set_fiber_backend(crate::fiber::FiberRt::new(num_cores));
     }
     // Heartbeat arming: the live counters the ports publish into and the
     // sequencer hook that snapshots them every K grants. `None` keeps both
@@ -651,19 +481,34 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
     let reports: PortReports = Arc::new(Mutex::new((0..num_cores).map(|_| None).collect()));
     let panics: Panics = Arc::new(Mutex::new(Vec::new()));
 
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    match backend {
-        Backend::Fibers => run_cores_on_fibers(config, workers, &shared, &reports, &panics),
-        Backend::Sharded => {
-            run_cores_on_sharded_fibers(config, workers, &shared, &reports, &panics)
+    std::thread::scope(|scope| {
+        // The wall-clock stall detector runs beside either backend while a
+        // watchdog is armed. Dropping `stop` when the cores are done (or
+        // unwinding) ends it at once instead of after its window.
+        let (stop, stop_rx) = std::sync::mpsc::channel::<()>();
+        if config.watchdog_budget.is_some() {
+            let seq = &shared.seq;
+            std::thread::Builder::new()
+                .name("sim-watchdog".into())
+                .spawn_scoped(scope, move || seq.watch_wall_clock(&stop_rx))
+                .expect("spawn watchdog thread");
         }
-        Backend::Threads => run_cores_on_threads(config, workers, &shared, &reports, &panics),
-    }
-    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-    {
-        debug_assert_eq!(backend, Backend::Threads, "resolve_backend rejects fibers off-platform");
-        run_cores_on_threads(config, workers, &shared, &reports, &panics);
-    }
+        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+        match backend {
+            Backend::Fibers => run_cores_on_fibers(config, workers, &shared, &reports, &panics),
+            Backend::Threads => run_cores_on_threads(config, workers, &shared, &reports, &panics),
+        }
+        #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+        {
+            debug_assert_eq!(
+                backend,
+                Backend::Threads,
+                "resolve_backend rejects fibers off-platform"
+            );
+            run_cores_on_threads(config, workers, &shared, &reports, &panics);
+        }
+        drop(stop);
+    });
 
     let mut panics = std::mem::take(&mut *panics.lock());
     if !panics.is_empty() {
@@ -766,7 +611,6 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         mesh_fault_spikes: st.mem.mesh_fault_spikes(),
         seq_grants: shared.seq.total_grants(),
         seq_fast_grants: shared.seq.fast_grants(),
-        seq_lookahead: shared.seq.sharded_lookahead(),
         seq_op_hash: shared.seq.op_hash(),
         mem_events,
         choice_points: shared.seq.choice_points(),
@@ -887,57 +731,21 @@ mod tests {
         assert_eq!(a.traffic, b.traffic);
     }
 
-    /// The sharded backend must be invisible to simulated results: on a
-    /// 2x2 mesh every core is its own island, so every handoff crosses an
-    /// island boundary, making this the densest cross-island stress the
-    /// small configuration can express.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     #[test]
-    fn sharded_backend_matches_threads_bit_for_bit() {
-        let run = |backend: ExecBackend| {
-            let mut config = small_config(Protocol::GpuWb);
-            config.backend = backend;
-            parallel_sum_on(config)
-        };
-        let a = run(ExecBackend::Threads);
-        let b = run(ExecBackend::ShardedFibers);
-        assert_eq!(a.seq_op_hash, b.seq_op_hash, "sequenced-op streams must be identical");
-        assert_eq!(a.completion_cycles, b.completion_cycles);
-        assert_eq!(a.core_cycles, b.core_cycles);
-        assert_eq!(a.instructions, b.instructions);
-        assert_eq!(a.traffic, b.traffic);
-        // 2x2 quadrants are adjacent tiles: 1 hop -> 1*2+1 cycles.
-        assert_eq!(b.seq_lookahead, 3);
-        assert_eq!(a.seq_lookahead, 0, "thread backend reports no lookahead");
+    fn backend_override_accepts_unset_threads_and_fibers() {
+        assert_eq!(backend_override(None), None);
+        assert_eq!(backend_override(Some("threads")), Some(Backend::Threads));
+        assert_eq!(backend_override(Some("fibers")), Some(Backend::Fibers));
     }
 
-    /// A worker panic under the sharded backend must drain every island
-    /// and re-raise the original panic, exactly like the other backends.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     #[test]
-    fn sharded_worker_panic_propagates() {
-        let mut config = small_config(Protocol::Mesi);
-        config.backend = ExecBackend::ShardedFibers;
-        let mut workers: Vec<Worker> = Vec::new();
-        for core in 0..4usize {
-            workers.push(Box::new(move |port| {
-                for t in 0..1000 {
-                    port.idle(10);
-                    if core == 2 && t == 5 {
-                        panic!("sharded worker exploded");
-                    }
-                }
-            }));
+    fn backend_override_rejects_unknown_values() {
+        for bad in ["thread", "sharded", "", "Fibers"] {
+            let r = std::panic::catch_unwind(|| backend_override(Some(bad)));
+            let err = r.expect_err("an unknown BIGTINY_BACKEND value must panic");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("threads, fibers"), "message names the accepted values: {msg}");
         }
-        let r =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_system(&config, workers)));
-        let err = r.expect_err("panic must propagate");
-        let msg = err
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("sharded worker exploded"), "got: {msg}");
     }
 
     #[test]

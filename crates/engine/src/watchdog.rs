@@ -11,14 +11,15 @@
 //!   core is demonstrably spinning and the run is declared stuck. Because
 //!   grants are counted in simulated order, the trip point is bit-for-bit
 //!   reproducible.
-//! * **Wall-clock fallback** (safety net): a core parked in the sequencer
-//!   that observes no grant activity at all for `wall_ms` trips the
-//!   watchdog even if the token holder never re-enters the sequencer
-//!   (e.g. an accidental host-level deadlock). This path is inherently
-//!   non-deterministic and exists only to guarantee termination.
+//! * **Wall-clock fallback** (safety net): a detector thread beside the
+//!   run that sees no grant and no productive local work anywhere for
+//!   `wall_ms` trips the watchdog even if the token holder never re-enters
+//!   the sequencer (e.g. an accidental host-level deadlock). This path is
+//!   inherently non-deterministic and exists only to guarantee
+//!   termination.
 //!
 //! On a trip the sequencer is poisoned with [`PoisonReason::Watchdog`],
-//! every core thread unwinds, and [`run_system`](crate::run_system)
+//! every core unwinds, and [`run_system`](crate::run_system)
 //! panics with a rendered [`DiagnosticBundle`]: per-core clocks,
 //! instruction counts, sequencer state, in-flight ULI state, and the last
 //! few trace events per core (when tracing is enabled).
@@ -59,8 +60,8 @@ pub enum PoisonReason {
 pub struct WatchdogConfig {
     /// Maximum sequencer grants between progress marks.
     pub budget: u64,
-    /// Wall-clock fallback: a parked core seeing no grants for this long
-    /// trips the watchdog regardless of the budget.
+    /// Wall-clock fallback: no grant and no productive local work anywhere
+    /// for this long trips the watchdog regardless of the budget.
     pub wall_ms: u64,
 }
 
@@ -111,7 +112,7 @@ pub struct DiagnosticBundle {
     /// Name of the [`SystemConfig`](crate::SystemConfig) that ran.
     pub config_name: String,
     /// Host execution backend the run actually used (after `Auto`
-    /// resolution), e.g. `threads` or `sharded-fibers`.
+    /// resolution), `threads` or `fibers`.
     pub backend: String,
     /// The run's fault plan as a [`FaultPlan::to_spec`](crate::FaultPlan)
     /// string (`"none"` when no faults were armed). Together with

@@ -113,59 +113,6 @@ impl Topology {
         self.l2_bank_tile(mc_id)
     }
 
-    /// Partitions cores `0..num_cores` into execution islands, one per
-    /// mesh quadrant: a core's island is decided by which half of the
-    /// mesh (in each dimension) its tile sits in. Islands that end up
-    /// empty (e.g. a 1-row mesh has no lower half) are dropped, so the
-    /// result has 1, 2, or 4 non-empty islands whose union is exactly
-    /// `0..num_cores`, each sorted ascending.
-    ///
-    /// This is the default sharding of the engine's parallel
-    /// (`ShardedFibers`) backend: quadrants keep physically-close cores —
-    /// the ones with the cheapest mesh round trips, and therefore the
-    /// densest steal/communication traffic — on the same host thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_cores` exceeds [`Topology::num_tiles`].
-    pub fn quadrant_islands(self, num_cores: usize) -> Vec<Vec<usize>> {
-        assert!(num_cores <= self.num_tiles(), "more cores than tiles");
-        let half_rows = self.rows / 2;
-        let half_cols = self.cols / 2;
-        let mut islands: Vec<Vec<usize>> = vec![Vec::new(); 4];
-        for core in 0..num_cores {
-            let t = self.core_tile(core);
-            let q = usize::from(t.y() >= half_rows && self.rows > 1) * 2
-                + usize::from(t.x() >= half_cols && self.cols > 1);
-            islands[q].push(core);
-        }
-        islands.retain(|i| !i.is_empty());
-        islands
-    }
-
-    /// Minimum hop distance between cores of *different* islands: the
-    /// conservative parallel-discrete-event lookahead bound of the sharded
-    /// backend (no cross-island interaction can land earlier than this
-    /// many hops of mesh latency). Returns 0 when fewer than two islands
-    /// exist (no cross-island pairs).
-    pub fn min_cross_island_hops(self, islands: &[Vec<usize>]) -> u32 {
-        let mut min = u32::MAX;
-        for (ai, a) in islands.iter().enumerate() {
-            for b in islands.iter().skip(ai + 1) {
-                for &ca in a {
-                    for &cb in b {
-                        min = min.min(self.core_tile(ca).hops_to(self.core_tile(cb)));
-                    }
-                }
-            }
-        }
-        if min == u32::MAX {
-            0
-        } else {
-            min
-        }
-    }
-
     /// Average hop distance between all pairs of core tiles (useful for
     /// sanity-checking latency parameters).
     pub fn mean_core_distance(self) -> f64 {
@@ -235,51 +182,5 @@ mod tests {
         let t = Topology::new(8, 8);
         let d = t.mean_core_distance();
         assert!(d > 4.0 && d < 6.0, "8x8 mean distance ~5.25, got {d}");
-    }
-
-    #[test]
-    fn quadrant_islands_partition_all_cores() {
-        let t = Topology::new(8, 8);
-        let islands = t.quadrant_islands(64);
-        assert_eq!(islands.len(), 4);
-        let mut all: Vec<usize> = islands.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..64).collect::<Vec<_>>());
-        for isl in &islands {
-            assert_eq!(isl.len(), 16, "8x8 quadrants are 4x4");
-            assert!(isl.windows(2).all(|w| w[0] < w[1]), "islands sorted");
-        }
-        // Core 0 (0,0) and core 63 (7,7) land in different quadrants.
-        let of = |c: usize| islands.iter().position(|i| i.contains(&c)).unwrap();
-        assert_ne!(of(0), of(63));
-        assert_eq!(of(0), of(9), "(1,1) shares core 0's quadrant");
-    }
-
-    #[test]
-    fn quadrant_islands_handle_partial_and_degenerate_meshes() {
-        // Fewer cores than tiles: only occupied tiles partition.
-        let t = Topology::new(8, 8);
-        let islands = t.quadrant_islands(10);
-        let all: Vec<usize> = islands.iter().flatten().copied().collect();
-        assert_eq!(all.len(), 10);
-        // A single-row mesh has only left/right halves.
-        let row = Topology::new(1, 8);
-        let islands = row.quadrant_islands(8);
-        assert_eq!(islands.len(), 2);
-        // A 1x1 mesh is one island.
-        assert_eq!(Topology::new(1, 1).quadrant_islands(1).len(), 1);
-    }
-
-    #[test]
-    fn min_cross_island_hops_is_adjacent_quadrant_border() {
-        let t = Topology::new(8, 8);
-        let islands = t.quadrant_islands(64);
-        // Adjacent quadrants touch across one link: minimum is 1 hop.
-        assert_eq!(t.min_cross_island_hops(&islands), 1);
-        // One island: no cross pairs.
-        assert_eq!(t.min_cross_island_hops(&[vec![0, 1, 2]]), 0);
-        // Distant islands: (0,0) vs (7,7) is 14 hops from the far corner,
-        // but the closest pair dominates.
-        assert_eq!(t.min_cross_island_hops(&[vec![0], vec![63]]), 14);
     }
 }

@@ -10,9 +10,9 @@
 //!   `max_core_clock`, the `conservation` buckets, and `faults` (all
 //!   published only while a core holds the sequencer token).
 //! * **Out-of-band** — host-timing artifacts for humans and dashboards,
-//!   never for pins: `fast_grants`, the per-core `strip`, `islands` lag,
-//!   and everything the emitting harness appends (wall milliseconds,
-//!   grants/s, live runtime stats).
+//!   never for pins: `fast_grants`, the per-core `strip`, and everything
+//!   the emitting harness appends (wall milliseconds, grants/s, live
+//!   runtime stats).
 //!
 //! [`heartbeat_line`] renders the deterministic core plus the snapshot's
 //! out-of-band strip; harnesses append their own out-of-band pairs via
@@ -94,7 +94,6 @@ pub fn heartbeat_line(
         ("faults".into(), faults),
         ("fast_grants".into(), Json::u64(snap.fast_grants)),
         ("strip".into(), Json::str(strip)),
-        ("islands".into(), Json::Arr(snap.islands.iter().map(|t| Json::u64(*t)).collect())),
     ];
     fields.extend(extra);
     Json::Obj(fields).to_json()
@@ -129,7 +128,6 @@ pub fn validate_heartbeat_line(line: &str) -> Result<(), String> {
             .and_then(Json::as_num)
             .ok_or_else(|| format!("faults missing counter {label:?}"))?;
     }
-    doc.get("islands").and_then(Json::as_arr).ok_or_else(|| "missing islands".to_owned())?;
     Ok(())
 }
 
@@ -199,7 +197,6 @@ mod tests {
                 CoreBeat { grants: 700, last_time: 2990, retired: false, waiting_at: Some(3001) },
                 CoreBeat { grants: 0, last_time: 100, retired: true, waiting_at: None },
             ],
-            islands: vec![3000, 2990],
         }
     }
 

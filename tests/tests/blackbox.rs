@@ -5,7 +5,7 @@
 //! serializes it into a valid `bigtiny-obs-blackbox-v1` document with
 //! non-empty, time-ordered per-core tails, and the whole artifact is
 //! deterministic — the same hang reruns to the same dump, on the threaded
-//! and the sharded-fiber backend alike. Heartbeat lines inherit the same
+//! and the fiber backend alike. Heartbeat lines inherit the same
 //! split the engine makes: every in-band field is a function of the grant
 //! stream and replays bit-for-bit, while wall-clock extras ride out-of-band.
 
@@ -83,7 +83,6 @@ fn backend_name(backend: ExecBackend) -> &'static str {
     match backend {
         ExecBackend::Threads => "threads",
         ExecBackend::Fibers => "fibers",
-        ExecBackend::ShardedFibers => "sharded-fibers",
         ExecBackend::Auto => unreachable!("tests pin a concrete backend"),
     }
 }
@@ -101,21 +100,20 @@ fn watchdog_trip_dumps_stable_blackbox_on_threads() {
     assert_eq!(normalize(&a), normalize(&b), "rerun produced a different black box");
 }
 
-/// Sharded-fiber backend: same contract — the trip still deposits a full
-/// bundle even though all cores multiplex onto island-sharded host fibers.
+/// Fiber backend: same contract — the budget trip unwinds the granting
+/// fiber, the launcher drains the rest, and the dump is byte-stable.
 #[test]
 #[cfg_attr(not(all(target_os = "linux", target_arch = "x86_64")), ignore)]
-fn watchdog_trip_dumps_stable_blackbox_on_sharded_fibers() {
-    let a = trip_and_dump(ExecBackend::ShardedFibers, "blackbox-sharded-a");
-    let b = trip_and_dump(ExecBackend::ShardedFibers, "blackbox-sharded-b");
-    let normalize =
-        |s: &str| s.replace("blackbox-sharded-a", "X").replace("blackbox-sharded-b", "X");
+fn watchdog_trip_dumps_stable_blackbox_on_fibers() {
+    let a = trip_and_dump(ExecBackend::Fibers, "blackbox-fibers-a");
+    let b = trip_and_dump(ExecBackend::Fibers, "blackbox-fibers-b");
+    let normalize = |s: &str| s.replace("blackbox-fibers-a", "X").replace("blackbox-fibers-b", "X");
     assert_eq!(normalize(&a), normalize(&b), "rerun produced a different black box");
 }
 
-/// The in-band fields of one beat: everything except `fast_grants`, the
-/// core strip, and the island vector (those depend on host thread
-/// interleaving and are documented out-of-band).
+/// The in-band fields of one beat: everything except `fast_grants` and the
+/// core strip (those depend on host thread interleaving and are documented
+/// out-of-band).
 type InBandBeat = (u64, u64, u64, u64, [u64; 9], [u64; 6]);
 
 /// Runs cilk5-nq with a heartbeat armed and collects every beat's in-band

@@ -42,7 +42,7 @@ const NQ_PIN: (u64, u64) = (7808, 0x7cc8_52c9_2c4f_0918);
 fn explicit_min_core_policy_replays_the_golden_pin_on_every_backend() {
     let fibers_supported = cfg!(all(target_os = "linux", target_arch = "x86_64"));
     let app = app_by_name("cilk5-nq").unwrap();
-    for backend in [ExecBackend::Threads, ExecBackend::Fibers, ExecBackend::ShardedFibers] {
+    for backend in [ExecBackend::Threads, ExecBackend::Fibers] {
         if backend != ExecBackend::Threads && !fibers_supported {
             continue;
         }

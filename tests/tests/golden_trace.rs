@@ -68,12 +68,11 @@ fn sequenced_op_stream_matches_golden_hashes() {
     );
 }
 
-/// All three execution backends (one OS thread per core, stackful fibers
-/// on one thread, island-sharded fibers on one thread per mesh quadrant)
-/// must replay the exact same grant stream: they share the sequencer's
-/// grant-selection rule and differ only in how a blocked core yields the
-/// host CPU. Pinning all of them against the same table proves the fiber
-/// and sharding fast paths cannot change a single simulated cycle.
+/// Both execution backends (one OS thread per core, stackful fibers on one
+/// thread) must replay the exact same grant stream: they share the
+/// sequencer's grant-selection rule and differ only in how a blocked core
+/// yields the host CPU. Pinning both against the same table proves the
+/// fiber fast path cannot change a single simulated cycle.
 #[test]
 fn both_backends_produce_identical_op_streams() {
     use bigtiny_engine::ExecBackend;
@@ -83,7 +82,7 @@ fn both_backends_produce_identical_op_streams() {
         GOLDEN.iter().filter(|g| g.0 == "cilk5-nq")
     {
         let app = app_by_name(app_name).unwrap();
-        for backend in [ExecBackend::Threads, ExecBackend::Fibers, ExecBackend::ShardedFibers] {
+        for backend in [ExecBackend::Threads, ExecBackend::Fibers] {
             if backend != ExecBackend::Threads && !fibers_supported {
                 continue;
             }
@@ -223,7 +222,7 @@ fn flight_ring_and_heartbeat_change_no_golden_pin() {
         GOLDEN.iter().filter(|g| g.0 == "cilk5-nq")
     {
         let app = app_by_name(app_name).unwrap();
-        for backend in [ExecBackend::Threads, ExecBackend::Fibers, ExecBackend::ShardedFibers] {
+        for backend in [ExecBackend::Threads, ExecBackend::Fibers] {
             if backend != ExecBackend::Threads && !fibers_supported {
                 continue;
             }
@@ -300,14 +299,14 @@ fn crash_runs_pin_metrics_and_audit_verdict_across_backends() {
     let app = app_by_name("cilk5-nq").unwrap();
     let run_once = |backend: ExecBackend| {
         let mut setup = setup_by_label("b.T/HCC-DTS-gwb");
-        setup.sys = setup.sys.clone().with_faults(FaultPlan::crash_storm(11)).with_backend(backend);
-        if backend != ExecBackend::Fibers {
-            // The watchdog is observational (it never perturbs simulated
-            // results) but needs a second runnable thread for its
-            // wall-clock fallback, so every backend except the
-            // single-threaded fiber one arms it.
-            setup.sys = setup.sys.clone().with_watchdog(2_000_000);
-        }
+        // The watchdog is observational: arming it never perturbs
+        // simulated results, on either backend.
+        setup.sys = setup
+            .sys
+            .clone()
+            .with_faults(FaultPlan::crash_storm(11))
+            .with_backend(backend)
+            .with_watchdog(2_000_000);
         setup.rt.record_task_events = true;
         let r = run_app(&setup, &app, AppSize::Test, 0);
         let audit = audit_task_events(&r.run.task_events, true, r.app);
@@ -333,8 +332,6 @@ fn crash_runs_pin_metrics_and_audit_verdict_across_backends() {
     if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
         let c = run_once(ExecBackend::Fibers);
         assert_eq!(a, c, "fiber backend agrees bit-for-bit under a crash storm");
-        let d = run_once(ExecBackend::ShardedFibers);
-        assert_eq!(a, d, "sharded backend agrees bit-for-bit under a crash storm");
     }
 }
 
