@@ -55,7 +55,7 @@ fn cells() -> Vec<Cell> {
     let mesi = |suffix: &str, kind: DequeKind, dup: bool| -> Cell {
         let mut s = Setup::bt_mesi();
         s.rt.deque_kind = kind;
-        s.rt.record_task_events = true;
+        s.sys.flight_history = true;
         s.label.push_str(suffix);
         if dup {
             // Re-execute the task claimed by core 0's first clean local
@@ -71,7 +71,7 @@ fn cells() -> Vec<Cell> {
     // The hardware alternatives, DTS off and on (locked deque protocol).
     for dts in [false, true] {
         let mut s = Setup::bt_hcc(Protocol::DeNovo, dts);
-        s.rt.record_task_events = true;
+        s.sys.flight_history = true;
         v.push(Cell { setup: s, dup_injected: false });
     }
     // Forced-duplicate audit cells, one per multiplicity policy.

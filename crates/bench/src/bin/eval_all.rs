@@ -196,7 +196,7 @@ fn main() {
         for s in &mut setups {
             s.sys = s.sys.clone().with_faults(fp.clone());
             // The crash audit needs the task-lifecycle stream.
-            s.rt.record_task_events |= crash_armed;
+            s.sys.flight_history |= crash_armed;
         }
         println!("[faults] plan={plan} seed={:#x} armed on every configuration", opts.fault_seed);
         if crash_armed {
@@ -213,7 +213,7 @@ fn main() {
         for s in &mut setups {
             s.sys.trace = true;
             s.sys.attr = true;
-            s.rt.record_task_events = true;
+            s.sys.flight_history = true;
         }
         println!("[obs] per-core tracing + task events + cycle attribution armed (--trace-out)");
     }

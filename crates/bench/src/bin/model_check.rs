@@ -119,13 +119,13 @@ struct Cell {
 }
 
 fn mc_cells() -> Vec<Cell> {
-    let rt = |kind| {
-        let mut rt = RuntimeConfig::new(kind);
-        rt.record_task_events = true;
-        rt
+    let sys = |protocol| {
+        let mut sys = SystemConfig::tiny_only(CORES, protocol);
+        sys.flight_history = true;
+        sys
     };
     let baseline = |suffix: &str, deque: DequeKind, dup: bool| {
-        let mut rt = rt(RuntimeKind::Baseline);
+        let mut rt = RuntimeConfig::new(RuntimeKind::Baseline);
         rt.deque_kind = deque;
         if dup {
             // Seed one permitted duplicate: re-execute the task claimed by
@@ -136,7 +136,7 @@ fn mc_cells() -> Vec<Cell> {
         Cell {
             setup: Setup {
                 label: format!("tiny{CORES}/MESI{suffix}"),
-                sys: SystemConfig::tiny_only(CORES, Protocol::Mesi),
+                sys: sys(Protocol::Mesi),
                 rt,
             },
             dup_injected: dup,
@@ -152,16 +152,16 @@ fn mc_cells() -> Vec<Cell> {
         Cell {
             setup: Setup {
                 label: format!("tiny{CORES}/HCC-dnv"),
-                sys: SystemConfig::tiny_only(CORES, Protocol::DeNovo),
-                rt: rt(RuntimeKind::Hcc),
+                sys: sys(Protocol::DeNovo),
+                rt: RuntimeConfig::new(RuntimeKind::Hcc),
             },
             dup_injected: false,
         },
         Cell {
             setup: Setup {
                 label: format!("tiny{CORES}/HCC-DTS-dnv"),
-                sys: SystemConfig::tiny_only(CORES, Protocol::DeNovo),
-                rt: rt(RuntimeKind::Dts),
+                sys: sys(Protocol::DeNovo),
+                rt: RuntimeConfig::new(RuntimeKind::Dts),
             },
             dup_injected: false,
         },

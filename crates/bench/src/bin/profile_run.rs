@@ -82,7 +82,7 @@ fn main() {
     }
     for s in &mut setups {
         s.sys.attr = true;
-        s.rt.record_task_events = true;
+        s.sys.flight_history = true;
         if trace_out.is_some() {
             s.sys.trace = true;
         }

@@ -55,7 +55,7 @@ fn main() {
     let mut armed_setup = plain_setup.clone();
     armed_setup.sys.trace = true;
     armed_setup.sys.attr = true;
-    armed_setup.rt.record_task_events = true;
+    armed_setup.sys.flight_history = true;
 
     let plain = run_app(&plain_setup, &app, AppSize::Test, 0);
     let armed = run_app(&armed_setup, &app, AppSize::Test, 0);

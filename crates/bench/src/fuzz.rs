@@ -38,7 +38,7 @@ pub struct FuzzFailure {
 /// task events recorded for the exactly/at-least-once audit.
 pub fn fuzz_setup(plan: FaultPlan) -> Setup {
     let label = format!("chaos[{}]", plan.to_spec());
-    let sys = SystemConfig::big_tiny(
+    let mut sys = SystemConfig::big_tiny(
         "chaos-fuzz",
         MeshConfig::with_topology(Topology::new(4, 4)),
         1,
@@ -47,9 +47,8 @@ pub fn fuzz_setup(plan: FaultPlan) -> Setup {
     )
     .with_faults(plan)
     .with_watchdog(2_000_000);
-    let mut rt = RuntimeConfig::new(RuntimeKind::Dts);
-    rt.record_task_events = true;
-    Setup { label, sys, rt }
+    sys.flight_history = true;
+    Setup { label, sys, rt: RuntimeConfig::new(RuntimeKind::Dts) }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

@@ -5,8 +5,8 @@
 //! incompatible with fault injection (`run_system` rejects armed checkers
 //! under an active [`bigtiny_engine::FaultPlan`] because faults perturb
 //! the schedule the oracle replays). Crash runs are instead audited at the
-//! *task* level, from the lifecycle events a
-//! [`bigtiny_core::RuntimeConfig::record_task_events`] run records:
+//! *task* level, from the lifecycle events a run records when
+//! [`bigtiny_engine::SystemConfig::flight_history`] is armed:
 //!
 //! * **Crash-free runs are exactly-once**: every spawned task executes to
 //!   completion exactly once; any respawn or discard is a violation.
@@ -167,7 +167,8 @@ pub enum AuditViolationKind {
     /// contract of the multiplicity deques is broken.
     OverDuplicated,
     /// The event stream itself is malformed (respawn of an unknown task,
-    /// events for a task never spawned).
+    /// events for a task never spawned, no root spawn — every run has a
+    /// root task, so an empty stream means recording was never armed).
     MalformedStream,
 }
 
@@ -534,6 +535,16 @@ pub fn audit_task_events_mode(events: &[TaskEvent], mode: AuditMode, kernel: &st
         );
     }
 
+    if !events.iter().any(|e| matches!(e.kind, TaskEventKind::Spawn { parent: None })) {
+        flag(
+            &mut report.violations,
+            AuditViolationKind::MalformedStream,
+            0,
+            "no root spawn: task events were not recorded (arm SystemConfig::flight_history)"
+                .into(),
+        );
+    }
+
     report.violations.sort_by_key(|v| (v.task, v.kind.label()));
     report
 }
@@ -802,6 +813,15 @@ mod tests {
         for k in DUPLICATE_SAFE_KERNELS {
             assert!(kernel_is_idempotent(k), "{k} duplicate-safe but not respawn-idempotent");
         }
+    }
+
+    #[test]
+    fn empty_stream_is_malformed_not_clean() {
+        let r = audit_task_events(&[], false, "cilk5-nq");
+        assert!(!r.is_clean(), "an unrecorded run must not audit clean");
+        assert_eq!(r.violations.len(), 1);
+        assert_eq!(r.violations[0].kind, AuditViolationKind::MalformedStream);
+        assert!(r.violations[0].detail.contains("flight_history"), "{}", r.render());
     }
 
     #[test]

@@ -67,6 +67,7 @@ mod runtime;
 mod task;
 mod telemetry;
 
+pub use bigtiny_engine::{TaskEvent, TaskEventKind};
 pub use deque::SimDeque;
 pub use native::{native_fib, NativeCtx, NativePool, NativeTask};
 pub use patterns::{parallel_for, parallel_invoke, parallel_invoke3};
@@ -75,4 +76,4 @@ pub use runtime::{
     TaskCx, TaskRun, VictimPolicy,
 };
 pub use task::{TaskBody, TaskId, TaskProfile, TaskRecord, WorkSpan};
-pub use telemetry::{Log2Histogram, StealTelemetry, TaskEvent, TaskEventKind, VictimCounters};
+pub use telemetry::{Log2Histogram, StealTelemetry, VictimCounters};

@@ -45,13 +45,14 @@ use std::sync::Arc;
 use bigtiny_engine::sync::RwLock;
 
 use bigtiny_engine::{
-    run_system, AddrSpace, CorePort, FlightKind, RacyTag, RunReport, SyncNote, SystemConfig,
-    TimeCategory, UliMessage, UliOutcome, Worker, WATCHDOG_MSG,
+    run_system, task_events, AddrSpace, CorePort, FlightKind, RacyTag, RunReport, SyncNote,
+    SystemConfig, TaskEvent, TaskEventKind, TimeCategory, UliMessage, UliOutcome, Worker,
+    WATCHDOG_MSG,
 };
 
 use crate::deque::SimDeque;
 use crate::task::{field, RespawnFn, TaskBody, TaskId, TaskRecord, WorkSpan};
-use crate::telemetry::{StealTelemetry, TaskEvent, TaskEventKind};
+use crate::telemetry::StealTelemetry;
 
 /// Panic payload used to unwind a fail-stopped worker's stack down to the
 /// catch in `run_task_parallel`. Private to the runtime: any other payload
@@ -226,11 +227,6 @@ pub struct RuntimeConfig {
     /// Seeded sync-discipline bug for checker tests (see [`Mutation`]).
     /// `None` (the default) adds no code to any hot path.
     pub mutation: Option<Mutation>,
-    /// Record per-task lifecycle events ([`TaskEvent`]) for trace export.
-    /// Host-side only: recording reads clocks the simulation already
-    /// computed and never charges a cycle, so it cannot perturb simulated
-    /// results; `false` (the default) allocates no buffers at all.
-    pub record_task_events: bool,
     /// Externally shared [`RuntimeStats`]: when set, the runtime counts
     /// into this handle instead of a private one, so a heartbeat sink can
     /// read live spawn/steal/recovery counters mid-run. Host-side only and
@@ -256,7 +252,6 @@ impl RuntimeConfig {
             uli_response_timeout_cycles: 4096,
             uli_giveup_attempts: 4,
             mutation: None,
-            record_task_events: false,
             live_stats: None,
         }
     }
@@ -321,8 +316,9 @@ pub struct TaskRun {
     /// Scheduler telemetry: per-victim steal outcomes, ULI round-trip
     /// latency histogram, `has_stolen_child` elisions, joins.
     pub telemetry: StealTelemetry,
-    /// Task lifecycle events in `(cycle, core)` order; empty unless
-    /// [`RuntimeConfig::record_task_events`] was set.
+    /// Task lifecycle events in `(cycle, core)` order, derived once at run
+    /// end from the report's flight histories; empty unless
+    /// [`SystemConfig::flight_history`] was set.
     pub task_events: Vec<TaskEvent>,
 }
 
@@ -348,11 +344,6 @@ pub(crate) struct RtShared {
     mut_counters: Vec<RwLock<u64>>,
     /// Steal telemetry (always collected — pure host-side counters).
     tel: RwLock<StealTelemetry>,
-    /// Per-worker task-event buffers; `None` unless
-    /// [`RuntimeConfig::record_task_events`]. Per-worker so each buffer's
-    /// order is that worker's deterministic program order — a single
-    /// shared vector would interleave by host scheduling.
-    task_events: Option<Vec<RwLock<Vec<TaskEvent>>>>,
     // Crash-recovery state: allocated/used only when the fault plan can
     // fail-stop cores, so crash support adds nothing — not even simulated
     // address-space layout changes — to other runs.
@@ -441,8 +432,6 @@ impl RtShared {
                 order
             })
             .collect();
-        let task_events =
-            cfg.record_task_events.then(|| (0..workers).map(|_| RwLock::new(Vec::new())).collect());
         let counters = cfg
             .live_stats
             .clone()
@@ -459,7 +448,6 @@ impl RtShared {
             victim_order,
             mut_counters: (0..workers).map(|_| RwLock::new(0)).collect(),
             tel: RwLock::new(StealTelemetry::new(workers)),
-            task_events,
             exec_stacks: (0..workers).map(|_| RwLock::new(Vec::new())).collect(),
             claims,
             respawn_base,
@@ -757,29 +745,14 @@ impl<'a> TaskCx<'a> {
     // charges — see `crate::telemetry`)
     // ------------------------------------------------------------------
 
-    /// Records one task lifecycle event when event recording is on. Also
+    /// Records one task lifecycle event on the core's flight log. Also
     /// closes/reopens the port's open attribution span (a no-op unless
     /// attribution is armed) so every recorded event cycle is a span
     /// boundary — the critical-path replay can then walk spans and events
     /// in lockstep without ever splitting a span.
     fn record_event(&mut self, task: u32, kind: TaskEventKind) {
         self.port.attr_mark();
-        // Mirror the lifecycle event onto the core's always-on flight
-        // recorder (same zero-overhead discipline; the ring is port-local).
-        self.port.flight_note(match kind {
-            TaskEventKind::Spawn { .. } => FlightKind::TaskSpawn { task },
-            TaskEventKind::ExecBegin => FlightKind::TaskBegin { task },
-            TaskEventKind::ExecEnd => FlightKind::TaskEnd { task },
-            TaskEventKind::Stolen { .. } => FlightKind::TaskStolen { task },
-            TaskEventKind::Join => FlightKind::TaskJoin { task },
-            TaskEventKind::Respawn { .. } => FlightKind::TaskRespawn { task },
-            TaskEventKind::Discarded => FlightKind::TaskDiscarded { task },
-            TaskEventKind::Duplicate { .. } => FlightKind::TaskDuplicate { task },
-        });
-        if let Some(bufs) = &self.rt.task_events {
-            let cycle = self.port.now();
-            bufs[self.wid].write().push(TaskEvent { cycle, core: self.wid, task, kind });
-        }
+        self.port.flight_note(FlightKind::Task { task, kind });
     }
 
     /// Counts one steal attempt against `vid`.
@@ -1185,7 +1158,7 @@ impl<'a> TaskCx<'a> {
         if let Some(t) = t {
             self.rt.counters.write().steals += 1;
             self.tel_hit(vid);
-            self.record_event(t.0, TaskEventKind::Stolen { from: vid });
+            self.record_event(t.0, TaskEventKind::Stolen { from: vid as u32 });
             self.steal_succeeded();
             self.execute_and_complete(t);
         } else {
@@ -1223,7 +1196,7 @@ impl<'a> TaskCx<'a> {
         if let Some(t) = t {
             self.rt.counters.write().steals += 1;
             self.tel_hit(vid);
-            self.record_event(t.0, TaskEventKind::Stolen { from: vid });
+            self.record_event(t.0, TaskEventKind::Stolen { from: vid as u32 });
             self.steal_succeeded();
             // Figure 3(b) lines 33-35: the stolen task's parent ran
             // elsewhere; bracket execution with invalidate/flush.
@@ -1380,7 +1353,7 @@ impl<'a> TaskCx<'a> {
         let t = TaskId::from_payload(raw).expect("victim promised a task");
         self.uli_fail_streak = 0;
         self.tel_hit(from);
-        self.record_event(t.0, TaskEventKind::Stolen { from });
+        self.record_event(t.0, TaskEventKind::Stolen { from: from as u32 });
         self.steal_succeeded();
         self.port.mark_progress();
         self.execute_task(t);
@@ -1408,7 +1381,7 @@ impl<'a> TaskCx<'a> {
         if let Some(t) = t {
             self.rt.counters.write().steals += 1;
             self.tel_hit(vid);
-            self.record_event(t.0, TaskEventKind::Stolen { from: vid });
+            self.record_event(t.0, TaskEventKind::Stolen { from: vid as u32 });
             self.steal_succeeded();
             self.port.mark_progress();
             self.cache_invalidate();
@@ -2118,18 +2091,8 @@ pub fn run_task_parallel(
         };
     let stats = *rt.counters.read();
     let telemetry = rt.tel.read().clone();
-    let task_events = match &rt.task_events {
-        Some(bufs) => {
-            // Concatenate the per-worker buffers (each in its worker's
-            // deterministic program order) and stable-sort by (cycle,
-            // core): ties keep per-core order, so the merged stream is
-            // deterministic too.
-            let mut evs: Vec<TaskEvent> =
-                bufs.iter().flat_map(|b| b.read().iter().copied().collect::<Vec<_>>()).collect();
-            evs.sort_by_key(|e| (e.cycle, e.core));
-            evs
-        }
-        None => Vec::new(),
-    };
+    // Worker id == core id, so the per-core histories are the per-worker
+    // recording orders this view merges.
+    let task_events = task_events(&report.flight_history);
     TaskRun { report, stats, telemetry, task_events }
 }

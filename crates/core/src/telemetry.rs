@@ -1,6 +1,9 @@
 //! Host-side scheduler telemetry: per-victim steal counters, ULI
-//! round-trip latency histograms, `has_stolen_child` elision counts, and
-//! (optionally) per-task lifecycle events for trace export.
+//! round-trip latency histograms, and `has_stolen_child` elision counts.
+//! Task lifecycle events are not kept here: the runtime records each one
+//! once on its core's flight log (`FlightKind::Task`), and
+//! [`TaskRun::task_events`](crate::TaskRun) is the view
+//! `bigtiny_engine::task_events` derives from the logs' histories.
 //!
 //! Everything in this module is pure host-side bookkeeping. Recording
 //! never sequences an operation, never charges a cycle, and only reads
@@ -210,64 +213,6 @@ impl StealTelemetry {
     pub fn total_misses(&self) -> u64 {
         self.per_victim.iter().map(|v| v.misses).sum()
     }
-}
-
-/// One task lifecycle event, recorded only when
-/// [`RuntimeConfig::record_task_events`](crate::RuntimeConfig) is set. The
-/// trace exporter turns Spawn..ExecEnd into async task-lifetime spans.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct TaskEvent {
-    /// Simulated cycle on the recording core.
-    pub cycle: u64,
-    /// Core that recorded the event.
-    pub core: usize,
-    /// Task id the event concerns.
-    pub task: u32,
-    /// What happened.
-    pub kind: TaskEventKind,
-}
-
-/// The task lifecycle points recorded as [`TaskEvent`]s.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TaskEventKind {
-    /// The task was created (`spawn`, or the root's allocation).
-    Spawn {
-        /// Task id of the spawning task, `None` only for the root.
-        parent: Option<u32>,
-    },
-    /// A worker began executing the task body.
-    ExecBegin,
-    /// The task body returned.
-    ExecEnd,
-    /// A thief claimed the task from victim `from`.
-    Stolen {
-        /// Victim core the task was taken from.
-        from: usize,
-    },
-    /// The task's `wait()` returned — all children joined.
-    Join,
-    /// Crash recovery re-created the task: this event's task id is the
-    /// replacement, `of` is the task that was executing on the fail-stopped
-    /// core. The replacement inherits `of`'s parent and join obligation.
-    Respawn {
-        /// Task id of the original that died mid-execution.
-        of: u32,
-    },
-    /// Crash recovery discarded the task without executing it: it sat
-    /// unstarted in a fail-stopped core's deque, and every such orphan is a
-    /// descendant of a task frozen on that core's execution stack, so
-    /// re-executing the stack bottom recreates it.
-    Discarded,
-    /// A multiplicity deque double-claimed the original task `of` (owner
-    /// and thief both won its slot), and this fresh record re-executes the
-    /// body. Unlike [`TaskEventKind::Respawn`], the original *also* runs
-    /// to completion — legal only under a multiplicity policy with an
-    /// idempotent kernel, which the checker's `Multiplicity` audit mode
-    /// verifies.
-    Duplicate {
-        /// Task id of the original that was double-claimed.
-        of: u32,
-    },
 }
 
 #[cfg(test)]

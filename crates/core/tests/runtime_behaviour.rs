@@ -464,9 +464,9 @@ fn steal_telemetry_matches_counters() {
     }
 
     // With recording on, lifecycle events are present, balanced, and sorted.
-    let mut cfg = RuntimeConfig::new(RuntimeKind::Dts);
-    cfg.record_task_events = true;
-    let (val, run) = run_fib(&s, &cfg, 12);
+    let mut recorded = s.clone();
+    recorded.flight_history = true;
+    let (val, run) = run_fib(&recorded, &RuntimeConfig::new(RuntimeKind::Dts), 12);
     assert_eq!(val, serial_fib(12));
     let evs = &run.task_events;
     assert!(!evs.is_empty());

@@ -149,6 +149,11 @@ pub struct SystemConfig {
     /// charges a cycle, so armed and unarmed runs are bit-for-bit
     /// identical (golden-pinned).
     pub flight_ring: usize,
+    /// Keep each core's unbounded flight history of task lifecycle and ULI
+    /// protocol events (see [`crate::task_events`]). Independent of
+    /// `flight_ring`; off by default and, like the ring, invisible to
+    /// simulated timing.
+    pub flight_history: bool,
     /// Live heartbeat hook: emit a [`crate::HeartbeatSnap`] every
     /// `heartbeat.every` sequencer grants. `None` (default) is zero-cost.
     pub heartbeat: Option<Heartbeat>,
@@ -176,6 +181,7 @@ impl SystemConfig {
             schedule: SchedulePolicy::MinCore,
             stack_bytes: None,
             flight_ring: DEFAULT_FLIGHT_CAPACITY,
+            flight_history: false,
             heartbeat: None,
         }
     }

@@ -2,18 +2,24 @@
 //!
 //! # Flight recorder
 //!
-//! Every [`CorePort`](crate::CorePort) owns a [`FlightRing`]: a
-//! fixed-capacity ring buffer of the last N simulation events on that core
-//! (token grants, ULI request/response/Dead traffic, steal attempts and
-//! hits, task lifecycle, fault injections, deque operations). Recording is
-//! *observation only*: every hook reads clocks and identifiers the
-//! simulation already computed and never sequences, charges cycles, or
-//! touches shared simulated state — so armed and unarmed runs are
-//! bit-for-bit identical (pinned by the `armed_observability` golden-trace
-//! test on all three backends). When a run dies — watchdog trip, poison,
-//! crash-audit failure — each core's ring tail is serialized into the
-//! [`DiagnosticBundle`](crate::DiagnosticBundle) as a black box: the last
-//! few thousand cycles of history instead of bare counters.
+//! Every [`CorePort`](crate::CorePort) owns a [`FlightLog`], the one
+//! recorder of that core's simulation events (token grants, ULI traffic,
+//! steal attempts and hits, task lifecycle, fault injections, deque
+//! operations). Each event is recorded once and feeds two sinks: a ring of
+//! the last N events, serialized into the
+//! [`DiagnosticBundle`](crate::DiagnosticBundle) as a black box when a run
+//! dies; and, when armed, an unbounded history of the task lifecycle and
+//! the four ULI protocol points, which the task-event audits,
+//! critical-path replay and Perfetto flow arrows read ([`task_events`]).
+//!
+//! Recording is *observation only*: every hook reads clocks and
+//! identifiers the simulation already computed and never sequences,
+//! charges cycles, or touches shared simulated state — so armed and
+//! unarmed runs are bit-for-bit identical (pinned by the
+//! `armed_observability` golden-trace test on both backends). An event
+//! describing a sequenced operation is stamped at its grant clock, before
+//! any ULI handler admitted in the same section runs, so every core's log
+//! is in time order.
 //!
 //! # Heartbeat
 //!
@@ -84,46 +90,12 @@ pub enum FlightKind {
         /// Victim core the task came from.
         victim: usize,
     },
-    /// A task was created on this core.
-    TaskSpawn {
+    /// A task lifecycle event on this core.
+    Task {
         /// Task id.
         task: u32,
-    },
-    /// A task body began executing on this core.
-    TaskBegin {
-        /// Task id.
-        task: u32,
-    },
-    /// A task body returned on this core.
-    TaskEnd {
-        /// Task id.
-        task: u32,
-    },
-    /// This core (the thief) claimed a stolen task.
-    TaskStolen {
-        /// Task id.
-        task: u32,
-    },
-    /// A task's `wait()` returned on this core.
-    TaskJoin {
-        /// Task id.
-        task: u32,
-    },
-    /// Crash recovery re-created a task on this core.
-    TaskRespawn {
-        /// Replacement task id.
-        task: u32,
-    },
-    /// Crash recovery discarded an unstarted orphan task.
-    TaskDiscarded {
-        /// Task id.
-        task: u32,
-    },
-    /// A multiplicity deque double-claim re-executed a task as an audited
-    /// duplicate.
-    TaskDuplicate {
-        /// Replacement task id.
-        task: u32,
+        /// Which lifecycle point.
+        kind: TaskEventKind,
     },
     /// A deque push on this core.
     DequePush,
@@ -163,14 +135,16 @@ impl FlightKind {
             FlightKind::UliDead { .. } => "uli_dead",
             FlightKind::StealAttempt { .. } => "steal_attempt",
             FlightKind::StealHit { .. } => "steal_hit",
-            FlightKind::TaskSpawn { .. } => "task_spawn",
-            FlightKind::TaskBegin { .. } => "task_begin",
-            FlightKind::TaskEnd { .. } => "task_end",
-            FlightKind::TaskStolen { .. } => "task_stolen",
-            FlightKind::TaskJoin { .. } => "task_join",
-            FlightKind::TaskRespawn { .. } => "task_respawn",
-            FlightKind::TaskDiscarded { .. } => "task_discarded",
-            FlightKind::TaskDuplicate { .. } => "task_duplicate",
+            FlightKind::Task { kind, .. } => match kind {
+                TaskEventKind::Spawn { .. } => "task_spawn",
+                TaskEventKind::ExecBegin => "task_begin",
+                TaskEventKind::ExecEnd => "task_end",
+                TaskEventKind::Stolen { .. } => "task_stolen",
+                TaskEventKind::Join => "task_join",
+                TaskEventKind::Respawn { .. } => "task_respawn",
+                TaskEventKind::Discarded => "task_discarded",
+                TaskEventKind::Duplicate { .. } => "task_duplicate",
+            },
             FlightKind::DequePush => "deque_push",
             FlightKind::DequePop => "deque_pop",
             FlightKind::DequeSteal => "deque_steal",
@@ -209,17 +183,98 @@ impl FlightKind {
             FlightKind::StealAttempt { victim } | FlightKind::StealHit { victim } => {
                 Some(("peer", victim as u64))
             }
-            FlightKind::TaskSpawn { task }
-            | FlightKind::TaskBegin { task }
-            | FlightKind::TaskEnd { task }
-            | FlightKind::TaskStolen { task }
-            | FlightKind::TaskJoin { task }
-            | FlightKind::TaskRespawn { task }
-            | FlightKind::TaskDiscarded { task }
-            | FlightKind::TaskDuplicate { task } => Some(("task", task as u64)),
+            FlightKind::Task { task, .. } => Some(("task", task as u64)),
             FlightKind::FaultUliDelay { extra } => Some(("extra", extra)),
         }
     }
+
+    /// Whether the per-core history keeps this kind: the task lifecycle
+    /// and the four ULI protocol points its consumers read. Everything
+    /// else (grants above all) stays ring-only.
+    pub fn in_history(self) -> bool {
+        matches!(
+            self,
+            FlightKind::Task { .. }
+                | FlightKind::UliReqSend { .. }
+                | FlightKind::UliReqRecv { .. }
+                | FlightKind::UliRespSend { .. }
+                | FlightKind::UliRespRecv { .. }
+        )
+    }
+}
+
+/// The task lifecycle points a runtime records as [`FlightKind::Task`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum TaskEventKind {
+    /// The task was created (`spawn`, or the root's allocation).
+    Spawn {
+        /// Task id of the spawning task, `None` only for the root.
+        parent: Option<u32>,
+    },
+    /// A worker began executing the task body.
+    ExecBegin,
+    /// The task body returned.
+    ExecEnd,
+    /// A thief claimed the task from victim `from`.
+    Stolen {
+        /// Victim core the task was taken from (`u32`, not `usize`, keeps
+        /// [`FlightEvent`] at 24 bytes).
+        from: u32,
+    },
+    /// The task's `wait()` returned — all children joined.
+    Join,
+    /// Crash recovery re-created the task: this event's task id is the
+    /// replacement, `of` is the task that was executing on the fail-stopped
+    /// core. The replacement inherits `of`'s parent and join obligation.
+    Respawn {
+        /// Task id of the original that died mid-execution.
+        of: u32,
+    },
+    /// Crash recovery discarded the task without executing it: it sat
+    /// unstarted in a fail-stopped core's deque, and every such orphan is a
+    /// descendant of a task frozen on that core's execution stack, so
+    /// re-executing the stack bottom recreates it.
+    Discarded,
+    /// A multiplicity deque double-claimed the original task `of` (owner
+    /// and thief both won its slot), and this fresh record re-executes the
+    /// body. Unlike [`TaskEventKind::Respawn`], the original *also* runs
+    /// to completion — legal only under a multiplicity policy with an
+    /// idempotent kernel, which the checker's `Multiplicity` audit mode
+    /// verifies.
+    Duplicate {
+        /// Task id of the original that was double-claimed.
+        of: u32,
+    },
+}
+
+/// One task lifecycle event with the core that recorded it: the view
+/// [`task_events`] derives from the per-core histories.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct TaskEvent {
+    /// Simulated cycle on the recording core.
+    pub cycle: u64,
+    /// Core that recorded the event.
+    pub core: usize,
+    /// Task id the event concerns.
+    pub task: u32,
+    /// What happened.
+    pub kind: TaskEventKind,
+}
+
+/// The task lifecycle stream of a run: every core's history (`histories`
+/// indexed by core) concatenated in core order, then stable-sorted by
+/// `(cycle, core)`, so equal keys keep each core's recording order.
+pub fn task_events(histories: &[Vec<FlightEvent>]) -> Vec<TaskEvent> {
+    let mut out = Vec::new();
+    for (core, history) in histories.iter().enumerate() {
+        for e in history {
+            if let FlightKind::Task { task, kind } = e.kind {
+                out.push(TaskEvent { cycle: e.time, core, task, kind });
+            }
+        }
+    }
+    out.sort_by_key(|e| (e.cycle, e.core));
+    out
 }
 
 /// One recorded event: the core's simulated clock when it happened plus
@@ -232,32 +287,43 @@ pub struct FlightEvent {
     pub kind: FlightKind,
 }
 
-/// Fixed-capacity per-core event ring. Capacity 0 disables recording
-/// entirely (every `record` is a single never-taken branch).
+/// One core's flight log. Every [`FlightLog::record`] feeds two sinks:
+/// a fixed-capacity ring of the last N events (capacity 0 disables it),
+/// and, when armed, an unbounded history of the kinds
+/// [`FlightKind::in_history`] keeps. With both off every `record` is two
+/// never-taken branches.
 #[derive(Debug, Clone, Default)]
-pub struct FlightRing {
+pub struct FlightLog {
     buf: Vec<FlightEvent>,
     cap: usize,
     /// Index of the next slot to overwrite once the ring is full.
     next: usize,
-    /// Events ever recorded (≥ `buf.len()`; the ring holds the last `cap`).
+    /// Events ever recorded on the ring (≥ `buf.len()`; the ring holds the
+    /// last `cap`).
     total: u64,
+    history: Option<Vec<FlightEvent>>,
 }
 
-impl FlightRing {
-    /// A ring holding the last `cap` events (0 disables recording).
-    pub fn new(cap: usize) -> Self {
-        FlightRing { buf: Vec::new(), cap, next: 0, total: 0 }
+impl FlightLog {
+    /// A log whose ring holds the last `cap` events (0 disables the ring),
+    /// keeping the unbounded history too when `history` is set.
+    pub fn new(cap: usize, history: bool) -> Self {
+        FlightLog { buf: Vec::new(), cap, next: 0, total: 0, history: history.then(Vec::new) }
     }
 
     /// Records one event. Never touches simulated state.
     #[inline]
     pub fn record(&mut self, time: u64, kind: FlightKind) {
+        let ev = FlightEvent { time, kind };
+        if let Some(h) = self.history.as_mut() {
+            if kind.in_history() {
+                h.push(ev);
+            }
+        }
         if self.cap == 0 {
             return;
         }
         self.total += 1;
-        let ev = FlightEvent { time, kind };
         if self.buf.len() < self.cap {
             self.buf.push(ev);
         } else {
@@ -266,7 +332,7 @@ impl FlightRing {
         }
     }
 
-    /// The retained tail in chronological (recording) order.
+    /// The retained ring tail in chronological (recording) order.
     pub fn tail(&self) -> Vec<FlightEvent> {
         let mut out = Vec::with_capacity(self.buf.len());
         out.extend_from_slice(&self.buf[self.next..]);
@@ -274,15 +340,15 @@ impl FlightRing {
         out
     }
 
-    /// Events ever recorded on this ring (the tail keeps the last
+    /// Events ever recorded on the ring (the tail keeps the last
     /// `capacity()` of them).
     pub fn total(&self) -> u64 {
         self.total
     }
 
-    /// Configured capacity (0 = recording disabled).
-    pub fn capacity(&self) -> usize {
-        self.cap
+    /// Takes the history in recording order (empty unless armed).
+    pub fn take_history(&mut self) -> Vec<FlightEvent> {
+        self.history.take().unwrap_or_default()
     }
 }
 
@@ -464,7 +530,7 @@ mod tests {
 
     #[test]
     fn ring_keeps_last_cap_events_in_order() {
-        let mut r = FlightRing::new(4);
+        let mut r = FlightLog::new(4, false);
         for t in 0..10u64 {
             r.record(t, FlightKind::Grant);
         }
@@ -476,7 +542,7 @@ mod tests {
 
     #[test]
     fn ring_partial_fill_preserves_order() {
-        let mut r = FlightRing::new(8);
+        let mut r = FlightLog::new(8, false);
         for t in [3u64, 5, 9] {
             r.record(t, FlightKind::DequePush);
         }
@@ -486,10 +552,29 @@ mod tests {
 
     #[test]
     fn zero_capacity_records_nothing() {
-        let mut r = FlightRing::new(0);
+        let mut r = FlightLog::new(0, false);
         r.record(1, FlightKind::Grant);
         assert_eq!(r.total(), 0);
         assert!(r.tail().is_empty());
+    }
+
+    #[test]
+    fn history_keeps_task_and_uli_kinds_merged_by_cycle_then_core() {
+        let join = |task| FlightKind::Task { task, kind: TaskEventKind::Join };
+        let (mut c0, mut c1) = (FlightLog::new(0, true), FlightLog::new(0, true));
+        c0.record(1, FlightKind::Grant);
+        c0.record(5, join(0));
+        c0.record(6, FlightKind::UliNack { to: 1 });
+        c0.record(6, FlightKind::UliReqRecv { from: 1 });
+        for (t, task) in [(2, 1), (5, 2), (5, 3)] {
+            c1.record(t, join(task));
+        }
+        assert_eq!(c0.total(), 0, "the ring stays off");
+        let histories = [c0.take_history(), c1.take_history()];
+        assert_eq!(histories[0].iter().map(|e| e.time).collect::<Vec<_>>(), vec![5, 6]);
+        let order: Vec<_> =
+            task_events(&histories).iter().map(|e| (e.cycle, e.core, e.task)).collect();
+        assert_eq!(order, vec![(2, 1, 1), (5, 0, 0), (5, 1, 2), (5, 1, 3)]);
     }
 
     #[test]
@@ -497,7 +582,9 @@ mod tests {
         assert_eq!(FlightKind::Grant.label(), "grant");
         assert_eq!(FlightKind::Grant.arg(), None);
         assert_eq!(FlightKind::UliReqSend { to: 3 }.arg(), Some(("peer", 3)));
-        assert_eq!(FlightKind::TaskSpawn { task: 7 }.arg(), Some(("task", 7)));
+        let spawn = FlightKind::Task { task: 7, kind: TaskEventKind::Spawn { parent: None } };
+        assert_eq!(spawn.label(), "task_spawn");
+        assert_eq!(spawn.arg(), Some(("task", 7)));
         assert_eq!(FlightKind::FaultUliDelay { extra: 40 }.arg(), Some(("extra", 40)));
     }
 }

@@ -66,14 +66,14 @@ pub use energy::{EnergyModel, EnergyReport};
 pub use event::{CheckMode, MemEvent, MemOp, RacyTag, SyncNote};
 pub use fault::{FaultCounters, FaultPlan};
 pub use flight::{
-    CoreBeat, FlightEvent, FlightKind, FlightRing, Heartbeat, HeartbeatSnap,
-    DEFAULT_FLIGHT_CAPACITY,
+    task_events, CoreBeat, FlightEvent, FlightKind, FlightLog, Heartbeat, HeartbeatSnap, TaskEvent,
+    TaskEventKind, DEFAULT_FLIGHT_CAPACITY,
 };
 pub use port::{AttrSpan, CorePort, UliHandler};
 pub use sequencer::{ChoicePoint, Sequencer};
 pub use space::{AddrSpace, ShScalar, ShVec};
 pub use system::{backend_label, run_system, RunReport, UliReport, Worker};
-pub use trace::{render_timeline, TraceEvent, UliMark, UliMarkKind};
+pub use trace::{render_timeline, TraceEvent};
 pub use watchdog::{
     last_bundle, last_bundle_for, CoreDiag, DiagnosticBundle, PoisonReason, SeqCoreDiag,
     WatchdogConfig, WATCHDOG_MSG,

@@ -16,6 +16,12 @@
 //! checks (inside the same critical section, at no extra cost) whether an
 //! enabled ULI request has arrived, and if so invokes the installed handler
 //! after charging the architectural interrupt cost.
+//!
+//! **Recording:** each event is recorded once, by the flight log, the
+//! checker stream, trace spans or attribution spans. An event describing a
+//! sequenced operation is stamped at its grant clock, before a ULI
+//! admitted in the same critical section is dispatched (`seq_with`), so a
+//! handler's events follow the operation that admitted it.
 
 use std::sync::Arc;
 
@@ -26,9 +32,8 @@ use crate::breakdown::{TimeBreakdown, TimeCategory};
 use crate::config::CoreKind;
 use crate::event::{MemEvent, MemOp, RacyTag, SyncNote};
 use crate::fault::{FaultCounters, FaultPlan, FaultState, UliSendFault};
-use crate::flight::{FlightKind, FlightRing, LiveCounters};
+use crate::flight::{FlightKind, FlightLog, LiveCounters};
 use crate::system::{GlobalState, Shared};
-use crate::trace::{UliMark, UliMarkKind};
 
 /// A ULI handler installed by the runtime: invoked with the port and the
 /// incoming request message (the thief's core id is `msg.from`).
@@ -97,11 +102,6 @@ pub struct CorePort {
     pending_compute: u64,
     breakdown: TimeBreakdown,
     trace: Option<Vec<crate::trace::TraceEvent>>,
-    /// ULI protocol marks for the trace exporter's flow arrows, buffered
-    /// only while tracing is enabled (same zero-overhead discipline as
-    /// `trace`: disabled recording is one never-taken branch, and marks are
-    /// stamped with cycles the simulation already computed).
-    uli_marks: Option<Vec<UliMark>>,
     /// Checker event stream, buffered per core when a
     /// [`CheckMode`](crate::CheckMode) is armed. `None` (the default) makes
     /// every emission a single never-taken branch, so unarmed timing and
@@ -121,13 +121,14 @@ pub struct CorePort {
     /// [`crate::SystemConfig::attr`] is armed. `None` (the default) makes
     /// every switch/mark a single never-taken branch.
     attr: Option<AttrState>,
-    /// The always-on flight recorder: the last N events on this core (see
-    /// [`crate::flight`]). Observation-only — every hook records clocks and
-    /// ids the simulation already computed, and a capacity-0 ring makes
-    /// each hook a single never-taken branch — so recording can stay
+    /// The always-on flight recorder: the ring of the last N events on
+    /// this core plus, when armed, its task/ULI history (see
+    /// [`crate::flight`]). Observation-only — every hook records clocks
+    /// and ids the simulation already computed, and with both sinks off
+    /// each hook is a never-taken branch — so recording can stay
     /// default-on without perturbing a single simulated cycle
     /// (golden-pinned by `armed_observability`).
-    flight: FlightRing,
+    flight: FlightLog,
     /// Live-counter sink for the heartbeat, published at the top of every
     /// sequenced section (under the token). `None` unless a heartbeat is
     /// armed.
@@ -176,11 +177,10 @@ impl CorePort {
             pending_compute: 0,
             breakdown: TimeBreakdown::new(),
             trace: None,
-            uli_marks: None,
             events: None,
             last_stamp: 0,
             attr: None,
-            flight: FlightRing::new(0),
+            flight: FlightLog::new(0, false),
             live: None,
             rng: XorShift64::new(seed ^ (core as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15)),
             // Only tiny cores other than core 0 are crash-eligible: core 0
@@ -242,19 +242,21 @@ impl CorePort {
     /// Runs `f` on the global state under the token, delivering at most one
     /// pending ULI observed in the same critical section.
     fn seq<R>(&mut self, f: impl FnOnce(&mut GlobalState, u64, usize) -> R) -> R {
-        self.seq_with(f, |_| None)
+        self.seq_with(f, |_, _| {})
     }
 
-    /// [`CorePort::seq`] plus checker-event emission: `op_of` maps the
-    /// sequenced result to the event to record, evaluated only when events
-    /// are armed. The event must be recorded *here* — after the grant,
-    /// before any ULI delivered in the same critical section runs — or a
-    /// handler's own events would precede the operation that admitted the
-    /// interrupt, and the recorded cycle would include handler time.
+    /// [`CorePort::seq`] plus event recording: `record` sees the sequenced
+    /// result and records the checker and flight events that describe the
+    /// operation. This is the one stamping rule for such events: `record`
+    /// runs after `leave` with `self.clock` still the grant clock, and
+    /// before any ULI admitted in the same critical section is dispatched
+    /// — otherwise a handler's own events would precede the operation that
+    /// admitted the interrupt, and the recorded cycle would include
+    /// handler time.
     fn seq_with<R>(
         &mut self,
         f: impl FnOnce(&mut GlobalState, u64, usize) -> R,
-        op_of: impl FnOnce(&R) -> Option<MemOp>,
+        record: impl FnOnce(&mut Self, &R),
     ) -> R {
         self.flush_compute();
         let check_uli = self.handler.is_some() && !self.in_handler;
@@ -280,11 +282,7 @@ impl CorePort {
             self.shared.seq.leave(self.core);
             (r, msg)
         };
-        if self.events.is_some() {
-            if let Some(op) = op_of(&r) {
-                self.emit(op);
-            }
-        }
+        record(self, &r);
         // Every sequenced operation is a ULI-delivery opportunity.
         self.compute_since_poll = 0;
         if let Some(m) = msg {
@@ -304,7 +302,6 @@ impl CorePort {
         // vector to the user-level handler.
         self.breakdown.add(TimeCategory::Uli, self.uli_cost);
         self.clock += self.uli_cost;
-        self.mark_uli(self.clock, UliMarkKind::ReqRecv { from: msg.from });
         self.flight.record(self.clock, FlightKind::UliReqRecv { from: msg.from });
         self.emit(MemOp::Sync(SyncNote::HandlerEnter { from: msg.from }));
         let mut h = self.handler.take().expect("handler present when dispatching");
@@ -365,17 +362,6 @@ impl CorePort {
     /// system configuration requests traces).
     pub(crate) fn enable_trace(&mut self) {
         self.trace = Some(Vec::new());
-        self.uli_marks = Some(Vec::new());
-    }
-
-    /// Records one ULI protocol mark at `cycle` (a grant or dispatch time
-    /// the simulation already computed). Never sequences and never charges:
-    /// with tracing disabled this is one never-taken branch.
-    #[inline]
-    fn mark_uli(&mut self, cycle: u64, kind: UliMarkKind) {
-        if let Some(m) = self.uli_marks.as_mut() {
-            m.push(UliMark { cycle, kind });
-        }
     }
 
     /// Enables checker event collection on this port (set by the engine
@@ -384,10 +370,11 @@ impl CorePort {
         self.events = Some(Vec::new());
     }
 
-    /// Sizes this port's flight-recorder ring (set by the engine from
-    /// [`crate::SystemConfig::flight_ring`]; 0 disables recording).
-    pub(crate) fn set_flight_capacity(&mut self, events: usize) {
-        self.flight = FlightRing::new(events);
+    /// Sizes this port's flight-recorder ring and arms its history (set
+    /// by the engine from [`crate::SystemConfig::flight_ring`], 0 disables
+    /// the ring, and [`crate::SystemConfig::flight_history`]).
+    pub(crate) fn set_flight_log(&mut self, ring: usize, history: bool) {
+        self.flight = FlightLog::new(ring, history);
     }
 
     /// Installs the live-counter sink the heartbeat reads (set by the
@@ -400,8 +387,8 @@ impl CorePort {
     /// local clock. Observation-only: never sequences, never charges a
     /// cycle — runtimes call this from their scheduler hooks (task
     /// lifecycle, steal attempts, deque operations) without perturbing
-    /// simulated state. With a capacity-0 ring this is one never-taken
-    /// branch.
+    /// simulated state. With the ring and history off this is two
+    /// never-taken branches.
     #[inline]
     pub fn flight_note(&mut self, kind: FlightKind) {
         let t = self.now();
@@ -430,13 +417,6 @@ impl CorePort {
             let cycle = self.clock + self.pending_compute;
             ev.push((self.last_stamp, MemEvent { cycle, core: self.core, op: MemOp::Sync(note) }));
         }
-    }
-
-    /// Whether checker event collection is armed on this port. Lets the
-    /// runtime skip work that only feeds annotations (it currently never
-    /// needs to — annotations are themselves free).
-    pub fn events_armed(&self) -> bool {
-        self.events.is_some()
     }
 
     /// Enables attribution-span recording on this port (set by the engine
@@ -575,7 +555,7 @@ impl CorePort {
                         st.mem.load(core, a, now)
                     }
                 },
-                |_| Some(MemOp::Load { addr: a, racy }),
+                |p, _| p.emit(MemOp::Load { addr: a, racy }),
             );
             let lat = self.mem_latency(lat);
             self.charge(TimeCategory::Load, lat);
@@ -594,7 +574,7 @@ impl CorePort {
                     *out_ref = Some(f());
                     l
                 },
-                |_| Some(MemOp::Load { addr: a, racy }),
+                |p, _| p.emit(MemOp::Load { addr: a, racy }),
             )
         };
         let lat = self.mem_latency(lat);
@@ -671,7 +651,7 @@ impl CorePort {
             let a = addr.offset(w * 8);
             let lat = self.seq_with(
                 move |st, now, core| st.mem.store(core, a, now),
-                |_| Some(MemOp::Store { addr: a, racy }),
+                |p, _| p.emit(MemOp::Store { addr: a, racy }),
             );
             let lat = self.mem_latency(lat);
             let charged = self.buffer_store(lat);
@@ -687,7 +667,7 @@ impl CorePort {
                     *out_ref = Some(f());
                     l
                 },
-                |_| Some(MemOp::Store { addr: a, racy }),
+                |p, _| p.emit(MemOp::Store { addr: a, racy }),
             )
         };
         let lat = self.mem_latency(lat);
@@ -717,7 +697,7 @@ impl CorePort {
                     *out_ref = Some(f());
                     l
                 },
-                |_| Some(MemOp::Amo { addr }),
+                |p, _| p.emit(MemOp::Amo { addr }),
             )
         };
         let lat = self.mem_latency(lat);
@@ -731,7 +711,7 @@ impl CorePort {
     pub fn invalidate_cache(&mut self) -> u64 {
         let (lat, lines) = self.seq_with(
             |st, now, core| st.mem.invalidate_all(core, now),
-            |_| Some(MemOp::InvalidateAll),
+            |p, _| p.emit(MemOp::InvalidateAll),
         );
         self.charge(TimeCategory::Invalidate, lat);
         self.instructions += 1;
@@ -744,8 +724,8 @@ impl CorePort {
     pub fn flush_cache(&mut self) -> u64 {
         let drain = self.drain_store_buffer();
         self.charge(TimeCategory::Flush, drain);
-        let (lat, lines) =
-            self.seq_with(|st, now, core| st.mem.flush_all(core, now), |_| Some(MemOp::FlushAll));
+        let (lat, lines) = self
+            .seq_with(|st, now, core| st.mem.flush_all(core, now), |p, _| p.emit(MemOp::FlushAll));
         self.charge(TimeCategory::Flush, lat);
         self.instructions += 1;
         lines
@@ -783,64 +763,45 @@ impl CorePort {
     /// (the caller still observes [`UliOutcome::Sent`] — only a response
     /// timeout reveals the loss), force-NACKed, or delivered late.
     pub fn uli_send_request(&mut self, victim: usize, payload: u64) -> UliOutcome {
-        // Grant time of the send, captured before `seq_with` folds pending
-        // compute and possibly dispatches an incoming ULI (which would move
-        // the clock past the send itself).
-        let send_cycle = self.now();
-        let out = match self.faults.on_uli_send() {
-            UliSendFault::None => {
-                let out = self.seq_with(
-                    move |st, now, core| st.uli.try_send_request(core, victim, payload, now),
-                    |out| {
-                        (*out == UliOutcome::Sent)
-                            .then_some(MemOp::Sync(SyncNote::UliReqSend { to: victim }))
-                    },
-                );
-                if out == UliOutcome::Sent {
-                    self.mark_uli(send_cycle, UliMarkKind::ReqSend { to: victim });
-                    // Ring entries are stamped at the *post-seq* clock, not
-                    // `send_cycle`: entering the sequencer can dispatch an
-                    // incoming ULI handler on this core first, and the ring
-                    // must stay sorted by time (the architectural send cycle
-                    // lives in `uli_marks`).
-                    self.flight.record(self.clock, FlightKind::UliReqSend { to: victim });
-                }
-                out
-            }
-            UliSendFault::Drop => {
-                let out = self.seq(move |st, _, core| {
+        let fault = self.faults.on_uli_send();
+        let out = self.seq_with(
+            move |st, now, core| match fault {
+                UliSendFault::None => st.uli.try_send_request(core, victim, payload, now),
+                UliSendFault::Drop => {
                     st.uli.drop_request(core, victim);
                     UliOutcome::Sent
-                });
-                self.flight.record(self.clock, FlightKind::FaultUliDrop);
-                out
-            }
-            UliSendFault::Nack => {
-                let out = self.seq(move |st, now, core| st.uli.forced_nack(core, victim, now));
-                self.flight.record(self.clock, FlightKind::FaultUliNack);
-                out
-            }
-            UliSendFault::Delay(extra) => {
-                let out = self.seq(move |st, now, core| {
+                }
+                UliSendFault::Nack => st.uli.forced_nack(core, victim, now),
+                UliSendFault::Delay(extra) => {
                     let out = st.uli.try_send_request(core, victim, payload, now);
                     if out == UliOutcome::Sent {
                         st.uli.delay_request(victim, extra);
                     }
                     out
-                });
-                self.flight.record(self.clock, FlightKind::FaultUliDelay { extra });
-                out
-            }
-        };
-        match out {
-            UliOutcome::Nack { .. } => {
-                self.flight.record(self.clock, FlightKind::UliNack { to: victim });
-            }
-            UliOutcome::Dead { .. } => {
-                self.flight.record(self.clock, FlightKind::UliDead { to: victim });
-            }
-            _ => {}
-        }
+                }
+            },
+            // Every event here describes the send: stamp it at its grant.
+            move |p, out| {
+                let to = victim;
+                match fault {
+                    UliSendFault::None if *out == UliOutcome::Sent => {
+                        p.emit(MemOp::Sync(SyncNote::UliReqSend { to }));
+                        p.flight.record(p.clock, FlightKind::UliReqSend { to });
+                    }
+                    UliSendFault::None => {}
+                    UliSendFault::Drop => p.flight.record(p.clock, FlightKind::FaultUliDrop),
+                    UliSendFault::Nack => p.flight.record(p.clock, FlightKind::FaultUliNack),
+                    UliSendFault::Delay(extra) => {
+                        p.flight.record(p.clock, FlightKind::FaultUliDelay { extra })
+                    }
+                }
+                match *out {
+                    UliOutcome::Sent => {}
+                    UliOutcome::Nack { .. } => p.flight.record(p.clock, FlightKind::UliNack { to }),
+                    UliOutcome::Dead { .. } => p.flight.record(p.clock, FlightKind::UliDead { to }),
+                }
+            },
+        );
         self.charge(TimeCategory::Uli, 1);
         self.instructions += 1;
         if let UliOutcome::Nack { reply_at } | UliOutcome::Dead { reply_at } = out {
@@ -852,30 +813,28 @@ impl CorePort {
 
     /// Sends a ULI response back to `thief` (from inside a handler).
     pub fn uli_send_response(&mut self, thief: usize, payload: u64) {
-        let send_cycle = self.now();
         self.seq_with(
             move |st, now, core| st.uli.send_response(core, thief, payload, now),
-            |_| Some(MemOp::Sync(SyncNote::UliRespSend { to: thief })),
+            |p, _| {
+                p.emit(MemOp::Sync(SyncNote::UliRespSend { to: thief }));
+                p.flight.record(p.clock, FlightKind::UliRespSend { to: thief });
+            },
         );
-        self.mark_uli(send_cycle, UliMarkKind::RespSend { to: thief });
-        self.flight.record(self.clock, FlightKind::UliRespSend { to: thief });
         self.charge(TimeCategory::Uli, 1);
         self.instructions += 1;
     }
 
     /// Collects a ULI response if one has arrived.
     pub fn uli_poll_response(&mut self) -> Option<UliMessage> {
-        let poll_cycle = self.now();
         let msg = self.seq_with(
             |st, now, core| st.uli.take_response(core, now),
-            |m: &Option<UliMessage>| {
-                m.as_ref().map(|m| MemOp::Sync(SyncNote::UliRespRecv { from: m.from }))
+            |p, m: &Option<UliMessage>| {
+                if let Some(m) = m {
+                    p.emit(MemOp::Sync(SyncNote::UliRespRecv { from: m.from }));
+                    p.flight.record(p.clock, FlightKind::UliRespRecv { from: m.from });
+                }
             },
         );
-        if let Some(m) = &msg {
-            self.mark_uli(poll_cycle, UliMarkKind::RespRecv { from: m.from });
-            self.flight.record(self.clock, FlightKind::UliRespRecv { from: m.from });
-        }
         self.charge(TimeCategory::UliWait, 1);
         self.instructions += 1;
         msg
@@ -953,8 +912,10 @@ impl CorePort {
     /// either retires the core (permanent crash) or goes dormant until
     /// [`CorePort::revive_now`].
     pub fn crash_now(&mut self) {
-        self.seq(|st, now, core| st.uli.set_dead(core, now));
-        self.flight.record(self.clock, FlightKind::Crash);
+        self.seq_with(
+            |st, now, core| st.uli.set_dead(core, now),
+            |p, _| p.flight.record(p.clock, FlightKind::Crash),
+        );
         self.faults.note_crashed();
         // A crash is liveness-relevant: survivors need watchdog budget to
         // observe it and run recovery.
@@ -965,8 +926,10 @@ impl CorePort {
     /// rejoin): a sequenced operation clearing the dead flag. The runtime
     /// then re-enters its scheduler loop as a fresh worker.
     pub fn revive_now(&mut self) {
-        self.seq(|st, _, core| st.uli.set_alive(core));
-        self.flight.record(self.clock, FlightKind::Revive);
+        self.seq_with(
+            |st, _, core| st.uli.set_alive(core),
+            |p, _| p.flight.record(p.clock, FlightKind::Revive),
+        );
         self.mark_progress();
     }
 
@@ -1035,12 +998,12 @@ impl CorePort {
             breakdown: self.breakdown,
             instructions: self.instructions,
             trace: self.trace.unwrap_or_default(),
-            uli_marks: self.uli_marks.unwrap_or_default(),
             faults: self.faults.counters,
             events: self.events.unwrap_or_default(),
             attr_spans,
             flight_total: self.flight.total(),
             flight: self.flight.tail(),
+            flight_history: self.flight.take_history(),
         }
     }
 }
@@ -1052,7 +1015,6 @@ pub(crate) struct PortReport {
     pub breakdown: TimeBreakdown,
     pub instructions: u64,
     pub trace: Vec<crate::trace::TraceEvent>,
-    pub uli_marks: Vec<UliMark>,
     pub faults: FaultCounters,
     /// Checker events with their sequencer grant stamps (see
     /// `CorePort::last_stamp`); the engine merges per-core buffers by
@@ -1065,4 +1027,6 @@ pub(crate) struct PortReport {
     /// Events ever recorded on this core's ring (`flight` keeps the last
     /// capacity of them).
     pub flight_total: u64,
+    /// Flight history in time order (empty unless armed).
+    pub flight_history: Vec<crate::flight::FlightEvent>,
 }

@@ -54,6 +54,7 @@ struct CoreParams {
     check: bool,
     attr: bool,
     flight_ring: usize,
+    flight_history: bool,
     num_cores: usize,
 }
 
@@ -74,6 +75,7 @@ impl CoreParams {
             check: config.check.armed(),
             attr: config.attr,
             flight_ring: config.flight_ring,
+            flight_history: config.flight_history,
             num_cores: config.num_cores(),
         }
     }
@@ -99,7 +101,7 @@ impl CoreParams {
         if self.attr {
             port.enable_attr();
         }
-        port.set_flight_capacity(self.flight_ring);
+        port.set_flight_log(self.flight_ring, self.flight_history);
         if let Some(live) = &shared.live {
             port.set_live(Arc::clone(live));
         }
@@ -343,9 +345,6 @@ pub struct RunReport {
     pub stale_reads: u64,
     /// Per-core execution traces (empty unless `SystemConfig::trace`).
     pub traces: Vec<Vec<crate::trace::TraceEvent>>,
-    /// Per-core ULI protocol marks for the trace exporter's flow arrows
-    /// (empty unless `SystemConfig::trace`).
-    pub uli_marks: Vec<Vec<crate::trace::UliMark>>,
     /// Faults injected over the run, summed across cores (all zero with
     /// [`FaultPlan::none()`](crate::FaultPlan::none)).
     pub fault_counters: FaultCounters,
@@ -389,6 +388,9 @@ pub struct RunReport {
     /// Events ever recorded on each core's ring (each `flight[i]` keeps
     /// the last `flight_ring` of them).
     pub flight_totals: Vec<u64>,
+    /// Per-core flight histories of task lifecycle and ULI protocol events
+    /// in time order (empty unless [`SystemConfig::flight_history`]).
+    pub flight_history: Vec<Vec<FlightEvent>>,
 }
 
 impl RunReport {
@@ -541,10 +543,10 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
     let mut breakdowns = Vec::with_capacity(num_cores);
     let mut instructions = Vec::with_capacity(num_cores);
     let mut traces = Vec::with_capacity(num_cores);
-    let mut uli_marks = Vec::with_capacity(num_cores);
     let mut attr_spans = Vec::with_capacity(num_cores);
     let mut flight = Vec::with_capacity(num_cores);
     let mut flight_totals = Vec::with_capacity(num_cores);
+    let mut flight_history = Vec::with_capacity(num_cores);
     let mut fault_counters = FaultCounters::default();
     let mut stamped_events: Vec<(u64, MemEvent)> = Vec::new();
     for r in reports {
@@ -553,10 +555,10 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         breakdowns.push(r.breakdown);
         instructions.push(r.instructions);
         traces.push(r.trace);
-        uli_marks.push(r.uli_marks);
         attr_spans.push(r.attr_spans);
         flight.push(r.flight);
         flight_totals.push(r.flight_total);
+        flight_history.push(r.flight_history);
         fault_counters += r.faults;
         stamped_events.extend(r.events);
     }
@@ -605,7 +607,6 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         uli,
         stale_reads: st.mem.total_stale_reads(),
         traces,
-        uli_marks,
         attr_spans,
         fault_counters,
         mesh_fault_spikes: st.mem.mesh_fault_spikes(),
@@ -616,6 +617,7 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         choice_points: shared.seq.choice_points(),
         flight,
         flight_totals,
+        flight_history,
     }
 }
 

@@ -19,45 +19,6 @@ pub struct TraceEvent {
     pub category: TimeCategory,
 }
 
-/// A timestamped ULI protocol point on one core, recorded only while
-/// tracing is enabled. The observability layer pairs sends with receives
-/// (FIFO per directed core pair, which is the ULI network's delivery
-/// order) to draw request/response flow arrows between cores in exported
-/// Perfetto traces.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct UliMark {
-    /// Cycle at which the mark was recorded on its core.
-    pub cycle: u64,
-    /// Which protocol point this is.
-    pub kind: UliMarkKind,
-}
-
-/// The ULI protocol points recorded as [`UliMark`]s.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum UliMarkKind {
-    /// A steal request left this core for `to` (recorded only when the
-    /// network accepted it — NACKs and fault-dropped sends leave no mark).
-    ReqSend {
-        /// Destination (victim) core.
-        to: usize,
-    },
-    /// A steal request from `from` was delivered to this core's handler.
-    ReqRecv {
-        /// Originating (thief) core.
-        from: usize,
-    },
-    /// A steal response left this core for `to`.
-    RespSend {
-        /// Destination (thief) core.
-        to: usize,
-    },
-    /// A steal response from `from` was collected on this core.
-    RespRecv {
-        /// Originating (victim) core.
-        from: usize,
-    },
-}
-
 /// Single-character glyph per category for the timeline.
 fn glyph(cat: TimeCategory) -> char {
     match cat {

@@ -6,7 +6,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bigtiny_engine::{run_system, SystemConfig, UliOutcome, Worker};
+use bigtiny_engine::{run_system, FlightKind, SystemConfig, UliOutcome, Worker};
 
 /// A thief whose first request is NACKed (receiver still disabled) succeeds
 /// by retrying once the victim has enabled reception and gets the handler's
@@ -132,4 +132,45 @@ fn uli_poll_response_after_victim_death() {
     });
     run_system(&config, vec![victim, thief]);
     assert!(served.load(Ordering::Relaxed));
+}
+
+/// Flight events describing a sequenced op are stamped at its grant clock.
+/// Here core 0's own request send also admits core 1's pending request:
+/// core 0's log must hold `uli_req_send` at the send's grant cycle, before
+/// the handler's `uli_req_recv`, with the whole log in time order.
+#[test]
+fn send_that_admits_a_request_is_logged_before_its_handler() {
+    let mut config = SystemConfig::o3(2);
+    config.flight_history = true;
+    let uli_cost = config.uli_cost_big;
+    // Both cores answer requests. Core 1 sends after 10 cycles; core 0
+    // spends 100 cycles of local time first, so core 1's request is waiting
+    // when core 0's send enters the sequencer and is taken in its section.
+    let worker = |to: usize, local: u64, send_at: Arc<AtomicU64>| -> Worker {
+        Box::new(move |port| {
+            port.set_uli_handler(Box::new(|p, m| p.uli_send_response(m.from, 0)));
+            port.uli_enable();
+            port.idle(local);
+            send_at.store(port.now(), Ordering::Relaxed);
+            assert_eq!(port.uli_send_request(to, 0), UliOutcome::Sent);
+            while port.uli_poll_response().is_none() {
+                port.idle(5);
+            }
+        })
+    };
+    let send_at = Arc::new(AtomicU64::new(0));
+    let core1 = worker(0, 10, Arc::new(AtomicU64::new(0)));
+    let r = run_system(&config, vec![worker(1, 100, Arc::clone(&send_at)), core1]);
+    let send = send_at.load(Ordering::Relaxed);
+    for (what, log) in [("history", &r.flight_history[0]), ("ring", &r.flight[0])] {
+        let find = |want: fn(&FlightKind) -> bool| {
+            log.iter().position(|e| want(&e.kind)).unwrap_or_else(|| panic!("{what}: {log:?}"))
+        };
+        let sent = find(|k| matches!(k, FlightKind::UliReqSend { to: 1 }));
+        let recv = find(|k| matches!(k, FlightKind::UliReqRecv { from: 1 }));
+        assert_eq!(log[sent].time, send, "{what}: send stamped at its grant cycle");
+        assert_eq!(log[recv].time, send + uli_cost, "{what}: handler admitted by the send");
+        assert!(sent < recv, "{what}: the send precedes the handler it admitted");
+        assert!(log.windows(2).all(|w| w[0].time <= w[1].time), "{what}: out of time order");
+    }
 }

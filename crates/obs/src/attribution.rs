@@ -179,7 +179,7 @@ impl WhatIf {
     pub fn project(run: &TaskRun) -> Result<WhatIf, String> {
         if !crate::critpath::profiled(run) {
             return Err(
-                "run is not profiled: arm SystemConfig::attr and RuntimeConfig::record_task_events"
+                "run is not profiled: arm SystemConfig::attr and SystemConfig::flight_history"
                     .into(),
             );
         }

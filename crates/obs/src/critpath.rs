@@ -322,7 +322,7 @@ pub fn check_task_dag(events: &[TaskEvent]) -> Result<DagCheck, String> {
 }
 
 /// Whether `run` carries everything a replay needs: recorded task events
-/// (`RuntimeConfig::record_task_events`) *and* attribution spans
+/// (`SystemConfig::flight_history`) *and* attribution spans
 /// (`SystemConfig::attr`).
 pub fn profiled(run: &TaskRun) -> bool {
     !run.task_events.is_empty() && run.report.attr_spans.iter().any(|s| !s.is_empty())

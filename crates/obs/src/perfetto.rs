@@ -10,8 +10,9 @@
 //!   `"b"`/`"e"` pairs with globally unique ids, so a task's span is
 //!   visible across the cores it migrated over, with steal claims as
 //!   instant events;
-//! * ULI request/response protocol marks become flow arrows (`"s"`/`"f"`)
-//!   from sender to receiver, FIFO-paired per directed core pair.
+//! * ULI request/response events from the flight history become flow
+//!   arrows (`"s"`/`"f"`) from sender to receiver, FIFO-paired per
+//!   directed core pair.
 //!
 //! [`validate_chrome_trace`] structurally checks a document — balanced
 //! async pairs, 1:1 flow ids, well-formed events — so CI can gate on the
@@ -20,7 +21,7 @@
 use std::collections::BTreeMap;
 
 use bigtiny_core::{TaskEventKind, TaskRun};
-use bigtiny_engine::UliMarkKind;
+use bigtiny_engine::FlightKind;
 
 use crate::json::Json;
 
@@ -33,8 +34,8 @@ pub struct TraceRun<'a> {
     pub app: &'a str,
     /// Setup label.
     pub setup: &'a str,
-    /// The run (with `SystemConfig::trace` and, for task lifetimes,
-    /// `RuntimeConfig::record_task_events` enabled).
+    /// The run (with `SystemConfig::trace` and, for task lifetimes and
+    /// ULI flow arrows, `SystemConfig::flight_history` enabled).
     pub run: &'a TaskRun,
 }
 
@@ -206,30 +207,26 @@ fn emit_critpath_track(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
 
 /// ULI request/response pairs as flow arrows.
 ///
-/// Marks are FIFO-paired per directed `(sender, receiver)` pair — the ULI
-/// network delivers in order per pair, so the k-th send matches the k-th
-/// receive. Under fault injection a send may have been dropped in flight;
-/// unmatched marks are skipped (a flow arrow needs both ends).
+/// The history's four ULI protocol points are FIFO-paired per directed
+/// `(sender, receiver)` pair — the ULI network delivers in order per pair,
+/// so the k-th send matches the k-th receive. Under fault injection a send
+/// may have been dropped in flight; unmatched events are skipped (a flow
+/// arrow needs both ends).
 fn emit_uli_flows(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>, flow_id: &mut u64) {
     // (sender, receiver, is_response) -> (send cycles, recv cycles)
     type PairKey = (usize, usize, bool);
     let mut pairs: BTreeMap<PairKey, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
-    for (core, marks) in r.run.report.uli_marks.iter().enumerate() {
-        for m in marks {
-            match m.kind {
-                UliMarkKind::ReqSend { to } => {
-                    pairs.entry((core, to, false)).or_default().0.push(m.cycle)
-                }
-                UliMarkKind::ReqRecv { from } => {
-                    pairs.entry((from, core, false)).or_default().1.push(m.cycle)
-                }
-                UliMarkKind::RespSend { to } => {
-                    pairs.entry((core, to, true)).or_default().0.push(m.cycle)
-                }
-                UliMarkKind::RespRecv { from } => {
-                    pairs.entry((from, core, true)).or_default().1.push(m.cycle)
-                }
-            }
+    for (core, history) in r.run.report.flight_history.iter().enumerate() {
+        for e in history {
+            let (key, send) = match e.kind {
+                FlightKind::UliReqSend { to } => ((core, to, false), true),
+                FlightKind::UliReqRecv { from } => ((from, core, false), false),
+                FlightKind::UliRespSend { to } => ((core, to, true), true),
+                FlightKind::UliRespRecv { from } => ((from, core, true), false),
+                _ => continue,
+            };
+            let (sends, recvs) = pairs.entry(key).or_default();
+            if send { sends } else { recvs }.push(e.time);
         }
     }
     for ((sender, receiver, is_resp), (sends, recvs)) in pairs {
@@ -397,15 +394,17 @@ mod tests {
         // 1 process_name + one thread_name per core
         assert_eq!(s.metadata, 1 + run.report.traces.len());
         // Each DTS steal is a request and a response round trip. Almost
-        // every protocol mark pairs into a flow — except a completion-race
-        // tail: when the program finishes, an already-sent request or
-        // response can go forever un-received (at most one in-flight
-        // message per core).
-        let marks: usize = run.report.uli_marks.iter().map(Vec::len).sum();
-        let unmatched = marks - s.flows * 2;
+        // every ULI protocol event pairs into a flow — except a
+        // completion-race tail: when the program finishes, an already-sent
+        // request or response can go forever un-received (at most one
+        // in-flight message per core).
+        // The history holds the task events plus the ULI events.
+        let history: usize = run.report.flight_history.iter().map(Vec::len).sum();
+        let uli = history - run.task_events.len();
+        let unmatched = uli - s.flows * 2;
         assert!(
             unmatched <= run.report.traces.len(),
-            "at most one unmatched in-flight ULI mark per core: {unmatched} from {marks} marks"
+            "at most one unmatched in-flight ULI event per core: {unmatched} from {uli} events"
         );
         // The document survives its own strict parser.
         let text = doc.to_json();
@@ -414,7 +413,9 @@ mod tests {
 
     #[test]
     fn flow_arrows_point_forward_in_time() {
-        let run = small_run_n(RuntimeKind::Dts, 11, true, false);
+        let mut run = small_run_n(RuntimeKind::Dts, 11, true, true);
+        // Flow arrows come from the flight history alone, not the task view.
+        run.task_events.clear();
         let doc = export_chrome_trace(&[TraceRun { app: "fib", setup: "dts", run: &run }]);
         // validate_chrome_trace enforces start <= finish for every flow.
         let s = validate_chrome_trace(&doc).unwrap();

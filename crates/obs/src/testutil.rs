@@ -22,9 +22,9 @@ fn fib(cx: &mut TaskCx<'_>, out: Arc<ShVec<u64>>, slot: usize, n: u64) {
     out.write(cx.port(), slot, x + y);
 }
 
-/// Runs fib(`n`) under `kind` on a 2×4-mesh 1-big/7-tiny GPU-WB machine,
-/// with optional tracing and task-event recording.
-pub fn small_run_n(kind: RuntimeKind, n: u64, trace: bool, record_events: bool) -> TaskRun {
+/// Runs fib(`n`) under `kind` on a 2×4-mesh 1-big/7-tiny GPU-WB machine
+/// whose configuration `arm` adjusts first.
+fn run_fib(kind: RuntimeKind, n: u64, arm: impl FnOnce(&mut SystemConfig)) -> TaskRun {
     let mut sys = SystemConfig::big_tiny(
         "obs-test",
         MeshConfig::with_topology(Topology::new(2, 4)),
@@ -32,13 +32,20 @@ pub fn small_run_n(kind: RuntimeKind, n: u64, trace: bool, record_events: bool) 
         7,
         Protocol::GpuWb,
     );
-    sys.trace = trace;
-    let mut rt = RuntimeConfig::new(kind);
-    rt.record_task_events = record_events;
+    arm(&mut sys);
     let mut space = AddrSpace::new();
     let out = Arc::new(ShVec::new(&mut space, 1 << (n + 1), 0u64));
     let o = Arc::clone(&out);
-    run_task_parallel(&sys, &rt, &mut space, move |cx| fib(cx, o, 0, n))
+    run_task_parallel(&sys, &RuntimeConfig::new(kind), &mut space, move |cx| fib(cx, o, 0, n))
+}
+
+/// Runs fib(`n`) under `kind` with optional tracing and flight history
+/// (task and ULI events).
+pub fn small_run_n(kind: RuntimeKind, n: u64, trace: bool, history: bool) -> TaskRun {
+    run_fib(kind, n, |sys| {
+        sys.trace = trace;
+        sys.flight_history = history;
+    })
 }
 
 /// [`small_run_n`] at fib(10) without tracing.
@@ -47,20 +54,11 @@ pub fn small_run(kind: RuntimeKind) -> TaskRun {
 }
 
 /// Runs fib(`n`) under `kind` with everything the critical-path profiler
-/// needs armed: task-event recording and per-task attribution spans.
+/// needs armed: the flight history (task events) and per-task attribution
+/// spans.
 pub fn small_run_profiled(kind: RuntimeKind, n: u64) -> TaskRun {
-    let mut sys = SystemConfig::big_tiny(
-        "obs-test",
-        MeshConfig::with_topology(Topology::new(2, 4)),
-        1,
-        7,
-        Protocol::GpuWb,
-    );
-    sys.attr = true;
-    let mut rt = RuntimeConfig::new(kind);
-    rt.record_task_events = true;
-    let mut space = AddrSpace::new();
-    let out = Arc::new(ShVec::new(&mut space, 1 << (n + 1), 0u64));
-    let o = Arc::clone(&out);
-    run_task_parallel(&sys, &rt, &mut space, move |cx| fib(cx, o, 0, n))
+    run_fib(kind, n, |sys| {
+        sys.attr = true;
+        sys.flight_history = true;
+    })
 }

@@ -163,9 +163,9 @@ fn telemetry_survives_fault_injection_with_consistent_accounting() {
     ];
     let app = app_by_name("cilk5-nq").unwrap();
     for (label, plan) in plans {
-        let cfg = sys(1, 7, Protocol::GpuWb).with_faults(plan);
-        let mut rt = RuntimeConfig::new(RuntimeKind::Dts);
-        rt.record_task_events = true;
+        let mut cfg = sys(1, 7, Protocol::GpuWb).with_faults(plan);
+        cfg.flight_history = true;
+        let rt = RuntimeConfig::new(RuntimeKind::Dts);
         let mut space = AddrSpace::new();
         let prepared = app.prepare_default(&mut space, AppSize::Test);
         let r = run_task_parallel(&cfg, &rt, &mut space, prepared.root);
@@ -306,10 +306,10 @@ fn steal_accounting_bounds_hold_on_every_deque_policy() {
         for deque in
             [DequeKind::Locked, DequeKind::ChaseLev, DequeKind::FenceFree, DequeKind::Idempotent]
         {
-            let cfg = sys(1, 7, Protocol::Mesi).with_faults(plan.clone());
+            let mut cfg = sys(1, 7, Protocol::Mesi).with_faults(plan.clone());
+            cfg.flight_history = true;
             let mut rt = RuntimeConfig::new(RuntimeKind::Baseline);
             rt.deque_kind = deque;
-            rt.record_task_events = true;
             let mut space = AddrSpace::new();
             let prepared = app.prepare_default(&mut space, AppSize::Test);
             let r = run_task_parallel(&cfg, &rt, &mut space, prepared.root);

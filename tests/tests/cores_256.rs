@@ -34,7 +34,7 @@ fn crash_of_core_200_recovers_with_clean_audit() {
     let app = app_by_name("cilk5-nq").unwrap();
     let mut setup = Setup::bt_256(Protocol::GpuWb, RuntimeKind::Dts);
     setup.sys = setup.sys.clone().with_faults(crash_core_200(7)).with_watchdog(2_000_000);
-    setup.rt.record_task_events = true;
+    setup.sys.flight_history = true;
     let r = run_app(&setup, &app, AppSize::Test, 0);
     assert_eq!(
         r.run.report.fault_counters.crashes, 1,

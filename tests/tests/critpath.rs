@@ -48,7 +48,7 @@ fn profiled_runs_satisfy_work_span_bounds() {
         .into_iter()
         .map(|mut s| {
             s.sys.attr = true;
-            s.rt.record_task_events = true;
+            s.sys.flight_history = true;
             s
         })
         .collect();
@@ -90,7 +90,7 @@ fn critical_path_chain_is_well_formed() {
     let app = app_by_name("cilk5-nq").unwrap();
     let mut setup = Setup::bt_hcc(bigtiny_engine::Protocol::GpuWb, true);
     setup.sys.attr = true;
-    setup.rt.record_task_events = true;
+    setup.sys.flight_history = true;
     let r = run_app(&setup, &app, AppSize::Test, 0);
     let cp = replay_run(&r.run, CycleLens::Burdened).expect("armed run profiles");
     assert!(!cp.chain.is_empty(), "empty chain on a profiled run");

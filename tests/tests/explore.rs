@@ -8,7 +8,7 @@
 //!
 //! 1. making the default policy *explicit* (and running under an empty
 //!    script) is bit-for-bit invisible — the golden `cilk5-nq` pin from
-//!    `golden_trace.rs` must replay exactly, on all three backends;
+//!    `golden_trace.rs` must replay exactly, on both backends;
 //! 2. a clean kernel stays clean under *any* scripted permutation of its
 //!    tie-breaks (kernel `verify()`, the full checker battery, and cycle
 //!    conservation all hold);
@@ -148,12 +148,12 @@ fn random_scripts_of_a_clean_run_stay_clean() {
 /// checker passes, zero stale reads, an exactly-once task-event audit,
 /// and one fingerprint.
 fn chase_lev_fib_run(script: &[u32]) -> ScheduleOutcome {
-    let sys = SystemConfig::tiny_only(2, Protocol::Mesi)
+    let mut sys = SystemConfig::tiny_only(2, Protocol::Mesi)
         .with_check(CheckMode::Full)
         .with_schedule(SchedulePolicy::Scripted(script.to_vec()));
+    sys.flight_history = true;
     let mut rt = RuntimeConfig::new(RuntimeKind::Baseline);
     rt.deque_kind = DequeKind::ChaseLev;
-    rt.record_task_events = true;
     let mut space = AddrSpace::new();
     // fib(8) by one-AMO-per-leaf: leaves of value 1 bump the accumulator.
     let acc = Arc::new(ShScalar::new(&mut space, 0u64));

@@ -193,10 +193,10 @@ fn deque_policy_ablation_cells_smoke() {
         (DequeKind::Idempotent, true),
     ];
     for (deque, dup) in cells {
-        let sys = small_sys(1, 7, Protocol::Mesi);
+        let mut sys = small_sys(1, 7, Protocol::Mesi);
+        sys.flight_history = true;
         let mut rt = RuntimeConfig::new(RuntimeKind::Baseline);
         rt.deque_kind = deque;
-        rt.record_task_events = true;
         if dup {
             rt.mutation = Some(Mutation { kind: MutationKind::DupTask, core: 0, nth: 0 });
         }

@@ -139,12 +139,12 @@ fn armed_checker_changes_no_golden_pin() {
     );
 }
 
-/// Arming the full observability stack — per-core tracing, ULI protocol
-/// marks, task-event recording, and per-task cycle attribution — must
+/// Arming the full observability stack — per-core tracing, the flight
+/// history (task and ULI events), and per-task cycle attribution — must
 /// likewise be bit-for-bit invisible: telemetry only ever reads the
 /// simulated clock and writes host-side buffers. An armed run replays the
 /// exact golden cycles and grant hashes while actually collecting a
-/// non-empty trace, ULI marks, task events, and attribution spans.
+/// non-empty trace, ULI events, task events, and attribution spans.
 #[test]
 fn armed_observability_changes_no_golden_pin() {
     let mut failures = Vec::new();
@@ -155,7 +155,7 @@ fn armed_observability_changes_no_golden_pin() {
         let mut setup = setup_by_label(setup_label);
         setup.sys.trace = true;
         setup.sys.attr = true;
-        setup.rt.record_task_events = true;
+        setup.sys.flight_history = true;
         let r = run_app(&setup, &app, AppSize::Test, 0);
         if r.cycles != want_cycles || r.run.report.seq_op_hash != want_hash {
             failures.push(format!(
@@ -175,8 +175,10 @@ fn armed_observability_changes_no_golden_pin() {
             "{app_name} on {setup_label}: armed run recorded no attribution spans"
         );
         if setup_label != "b.T/MESI" {
-            let marks: usize = r.run.report.uli_marks.iter().map(Vec::len).sum();
-            assert!(marks > 0, "{app_name} on {setup_label}: DTS run recorded no ULI marks");
+            // The history holds the task events plus the ULI events.
+            let history: usize = r.run.report.flight_history.iter().map(Vec::len).sum();
+            let uli = history - r.run.task_events.len();
+            assert!(uli > 0, "{app_name} on {setup_label}: DTS run recorded no ULI events");
         }
         // The flight recorder is always-on (default ring capacity): the
         // same armed run must also have retained per-core tails, each in
@@ -289,7 +291,9 @@ fn flight_ring_and_heartbeat_change_no_golden_pin() {
 /// seed replays the same crash schedule, the same recovery actions, the
 /// same metrics document, and the same crash-audit verdict — across
 /// repeated runs and across both execution backends. Recovery is scheduled
-/// work like any other; nothing about it may depend on host timing.
+/// work like any other; nothing about it may depend on host timing. The
+/// flight history does not depend on the ring: with the ring off, the
+/// task events and audit verdict are those of the ring-on run.
 #[test]
 fn crash_runs_pin_metrics_and_audit_verdict_across_backends() {
     use bigtiny_checker::audit_task_events;
@@ -297,7 +301,7 @@ fn crash_runs_pin_metrics_and_audit_verdict_across_backends() {
     use bigtiny_obs::{metrics_document, RunMetrics};
 
     let app = app_by_name("cilk5-nq").unwrap();
-    let run_once = |backend: ExecBackend| {
+    let run_once = |backend: ExecBackend, ring: usize| {
         let mut setup = setup_by_label("b.T/HCC-DTS-gwb");
         // The watchdog is observational: arming it never perturbs
         // simulated results, on either backend.
@@ -306,8 +310,9 @@ fn crash_runs_pin_metrics_and_audit_verdict_across_backends() {
             .clone()
             .with_faults(FaultPlan::crash_storm(11))
             .with_backend(backend)
-            .with_watchdog(2_000_000);
-        setup.rt.record_task_events = true;
+            .with_watchdog(2_000_000)
+            .with_flight_ring(ring);
+        setup.sys.flight_history = true;
         let r = run_app(&setup, &app, AppSize::Test, 0);
         let audit = audit_task_events(&r.run.task_events, true, r.app);
         assert!(audit.is_clean(), "{backend:?}:\n{}", audit.render());
@@ -319,18 +324,22 @@ fn crash_runs_pin_metrics_and_audit_verdict_across_backends() {
             tiny_cores: &r.tiny_cores,
         }])
         .to_json();
-        (r.cycles, r.run.report.seq_op_hash, audit.verdict_hash(), doc)
+        (r.cycles, r.run.report.seq_op_hash, audit.verdict_hash(), doc, r.run.task_events)
     };
 
-    let a = run_once(ExecBackend::Threads);
-    let b = run_once(ExecBackend::Threads);
+    let ring = bigtiny_engine::DEFAULT_FLIGHT_CAPACITY;
+    let a = run_once(ExecBackend::Threads, ring);
+    let b = run_once(ExecBackend::Threads, ring);
     assert_eq!(a.0, b.0, "crash-armed cycles are run-to-run stable");
     assert_eq!(a.1, b.1, "crash-armed op stream is run-to-run stable");
     assert_eq!(a.2, b.2, "crash-audit verdict is run-to-run stable");
     assert_eq!(a.3, b.3, "crash-armed metrics document is run-to-run stable");
     assert_ne!(a.2, 0, "verdict hash folds real counts");
+    let off = run_once(ExecBackend::Threads, 0);
+    assert_eq!(off.4, a.4, "task events do not depend on the flight ring");
+    assert_eq!(off.2, a.2, "audit verdict does not depend on the flight ring");
     if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
-        let c = run_once(ExecBackend::Fibers);
+        let c = run_once(ExecBackend::Fibers, ring);
         assert_eq!(a, c, "fiber backend agrees bit-for-bit under a crash storm");
     }
 }
